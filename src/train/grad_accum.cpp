@@ -33,10 +33,19 @@ void GradAccumulator::accumulate(u32 id, std::span<const u16> grads_fp16,
   if (grads_fp16.size() != buf.size()) {
     throw std::invalid_argument("GradAccumulator::accumulate: size mismatch");
   }
+  // Decode both operands a chunk at a time, add in FP32, encode back: the
+  // same per-element decode/add/encode, through the vectorised bulk codec.
+  const std::span<u16> acc(buf);
   const auto add_range = [&](u64 begin, u64 end) {
-    for (u64 i = begin; i < end; ++i) {
-      const f32 sum = Fp16::decode(buf[i]) + Fp16::decode(grads_fp16[i]);
-      buf[i] = Fp16::encode(sum);
+    constexpr u64 kChunk = 512;
+    f32 sum[kChunk];
+    f32 addend[kChunk];
+    for (u64 i = begin; i < end; i += kChunk) {
+      const u64 len = std::min(kChunk, end - i);
+      fp16_to_fp32(acc.subspan(i, len), std::span<f32>(sum, len));
+      fp16_to_fp32(grads_fp16.subspan(i, len), std::span<f32>(addend, len));
+      for (u64 j = 0; j < len; ++j) sum[j] += addend[j];
+      fp32_to_fp16(std::span<const f32>(sum, len), acc.subspan(i, len));
     }
   };
   if (pool == nullptr) {

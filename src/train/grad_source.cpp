@@ -1,44 +1,60 @@
 #include "train/grad_source.hpp"
 
+#include <algorithm>
+
 #include "util/fp16.hpp"
+#include "util/splitmix64.hpp"
 
 namespace mlpo {
 
 namespace {
 
-inline u64 splitmix64(u64 x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+// Elements hashed per bulk conversion: large enough to amortise the call,
+// small enough that the scratch stays on the stack and in L1.
+constexpr std::size_t kChunk = 512;
+
+u64 stream_base(u64 seed, int rank, u32 subgroup_id, u64 iteration) {
+  return splitmix64(seed ^ (static_cast<u64>(rank) << 48) ^
+                    (static_cast<u64>(subgroup_id) << 24) ^ iteration);
 }
 
-// Map a 64-bit hash to a small centred float (~N(0, 0.02) shaped, uniform is
-// fine for exercising the optimizer), then round-trip through FP16 so every
-// generated gradient is exactly FP16-representable.
-inline u16 hash_to_fp16(u64 h) {
-  const f64 unit = static_cast<f64>(h >> 11) * 0x1.0p-53;  // [0, 1)
-  const f32 value = static_cast<f32>((unit - 0.5) * 0.04);
-  return Fp16::encode(value);
+// Map each 64-bit hash to a small centred float (~N(0, 0.02) shaped, uniform
+// is fine for exercising the optimizer). The caller rounds the values to
+// FP16, so every generated gradient is exactly FP16-representable. h >> 11
+// has 53 bits, so the signed conversion is exact and avoids the unsigned
+// one's fix-up branch.
+void hash_chunk(u64 first, std::span<f32> out) {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const u64 h = splitmix64(first + j);
+    const f64 unit = static_cast<f64>(static_cast<i64>(h >> 11)) * 0x1.0p-53;
+    out[j] = static_cast<f32>((unit - 0.5) * 0.04);
+  }
 }
 
 }  // namespace
 
 void GradSource::generate_fp16(int rank, u32 subgroup_id, u64 iteration,
                                std::span<u16> out) const {
-  const u64 base = splitmix64(seed_ ^ (static_cast<u64>(rank) << 48) ^
-                              (static_cast<u64>(subgroup_id) << 24) ^ iteration);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = hash_to_fp16(splitmix64(base + i));
+  const u64 base = stream_base(seed_, rank, subgroup_id, iteration);
+  f32 values[kChunk];
+  for (std::size_t i = 0; i < out.size(); i += kChunk) {
+    const std::size_t len = std::min(kChunk, out.size() - i);
+    const std::span<f32> chunk(values, len);
+    hash_chunk(base + i, chunk);
+    fp32_to_fp16(chunk, out.subspan(i, len));
   }
 }
 
 void GradSource::generate_fp32(int rank, u32 subgroup_id, u64 iteration,
                                std::span<f32> out) const {
-  const u64 base = splitmix64(seed_ ^ (static_cast<u64>(rank) << 48) ^
-                              (static_cast<u64>(subgroup_id) << 24) ^ iteration);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = Fp16::decode(hash_to_fp16(splitmix64(base + i)));
+  const u64 base = stream_base(seed_, rank, subgroup_id, iteration);
+  u16 half[kChunk];
+  for (std::size_t i = 0; i < out.size(); i += kChunk) {
+    const std::size_t len = std::min(kChunk, out.size() - i);
+    const std::span<f32> chunk = out.subspan(i, len);
+    hash_chunk(base + i, chunk);
+    fp32_to_fp16(chunk, std::span<u16>(half, len));
+    fp16_to_fp32(std::span<const u16>(half, len), chunk);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/splitmix64.hpp"
+
 namespace mlpo {
 
 namespace {
@@ -18,14 +20,6 @@ struct Header {
   u32 reserved;
 };
 constexpr u32 kMagic = 0x4D4C504Fu;  // "MLPO"
-
-u64 mix64(u64 x) {
-  // splitmix64 finalizer — good avalanche for checksums.
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 
@@ -83,12 +77,13 @@ void Subgroup::deserialize(std::span<const u8> in) {
 }
 
 u64 Subgroup::checksum() const {
-  u64 h = mix64(id_ ^ (sim_params_ << 20) ^ step_);
+  // splitmix64 as a finalizer: good avalanche for checksums.
+  u64 h = splitmix64(id_ ^ (sim_params_ << 20) ^ step_);
   const auto fold = [&h](std::span<const f32> arr) {
     for (const f32 v : arr) {
       u32 bits;
       std::memcpy(&bits, &v, sizeof(bits));
-      h = mix64(h ^ bits);
+      h = splitmix64(h ^ bits);
     }
   };
   fold(params_);
@@ -100,15 +95,6 @@ u64 Subgroup::checksum() const {
 std::string Subgroup::key(int rank, u32 id) {
   return "sg/" + std::to_string(rank) + "/" + std::to_string(id);
 }
-
-namespace {
-inline u64 splitmix64(u64 x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 void Subgroup::deterministic_param_init(int rank, u32 id,
                                         std::span<f32> params) {

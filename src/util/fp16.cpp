@@ -1,83 +1,80 @@
 #include "util/fp16.hpp"
 
 #include <bit>
-#include <chrono>
-#include <vector>
+#include <stdexcept>
 
 namespace mlpo {
 
 namespace {
 
-// Decode one half via bit manipulation. Subnormals are normalised by
-// shifting the mantissa; this is exact because every binary16 value is
-// representable in binary32.
-inline f32 decode_bits(u16 h) {
-  const u32 sign = static_cast<u32>(h & 0x8000u) << 16;
-  const u32 exp = (h >> 10) & 0x1Fu;
-  const u32 man = h & 0x3FFu;
+// Both codecs are straight-line integer and float arithmetic: every case is
+// computed and the result is picked with all-ones/all-zeros masks. GCC keeps
+// `?:` and `if` as control flow here and then refuses to vectorise the bulk
+// loops, so no branch or conditional operator may appear below. Unsigned
+// wrap-around in the lanes that a mask discards is intended.
 
-  u32 out;
-  if (exp == 0) {
-    if (man == 0) {
-      out = sign;  // +/- zero
-    } else {
-      // Subnormal: value = man * 2^-24. Normalise.
-      u32 e = 0;
-      u32 m = man;
-      while ((m & 0x400u) == 0) {
-        m <<= 1;
-        ++e;
-      }
-      m &= 0x3FFu;
-      out = sign | ((127 - 15 - e + 1) << 23) | (m << 13);
-    }
-  } else if (exp == 0x1Fu) {
-    out = sign | 0x7F800000u | (man << 13);  // inf / nan (payload preserved)
-  } else {
-    out = sign | ((exp - 15 + 127) << 23) | (man << 13);
-  }
-  return std::bit_cast<f32>(out);
+/// All-ones when `cond` holds, zero otherwise.
+inline u32 mask_if(bool cond) { return 0u - static_cast<u32>(cond); }
+
+// Decode by magic-subtract renormalisation. Shifting the half's exponent and
+// mantissa into float position and re-biasing the exponent is exact for
+// normals. Inf/NaN need the exponent pushed to 255 (the payload rides
+// along). A zero/subnormal half m * 2^-24 is built as the float
+// 2^-14 * (1 + m/1024) and then 2^-14 is subtracted, which is exact.
+inline f32 decode_bits(u16 h) {
+  constexpr u32 kShiftedExp = 0x7C00u << 13;
+  constexpr f32 kMagic = 0x1.0p-14f;  // the float with biased exponent 113
+  const u32 in = h;
+  const u32 bits = (in & 0x7FFFu) << 13;
+  const u32 exp = bits & kShiftedExp;
+  const u32 normal = bits + ((127u - 15u) << 23);
+  const u32 inf_nan = normal + ((128u - 16u) << 23);
+  const u32 subnormal =
+      std::bit_cast<u32>(std::bit_cast<f32>(normal + (1u << 23)) - kMagic);
+  const u32 is_inf_nan = mask_if(exp == kShiftedExp);
+  const u32 is_subnormal = mask_if(exp == 0);
+  const u32 out = (inf_nan & is_inf_nan) | (subnormal & is_subnormal) |
+                  (normal & ~(is_inf_nan | is_subnormal));
+  return std::bit_cast<f32>(out | ((in & 0x8000u) << 16));
 }
 
-// Encode one float to half with round-to-nearest-even.
+// Encode with round-to-nearest-even.
+//   * |x| >= 2^16 (exponent would reach 31) overflows to inf; an input NaN
+//     becomes a quiet NaN that keeps the top 10 payload bits.
+//   * |x| < 2^-14 gives a zero or subnormal half: adding 0.5f aligns the
+//     half's 2^-24 grid with the float's last mantissa bit, so the hardware
+//     add does the round-to-nearest-even and the mantissa bits of the sum
+//     minus those of 0.5f are the half's bits (0x400 when it rounds up to
+//     the smallest normal). This relies on the default rounding mode and on
+//     denormals not being flushed, as everywhere else in the library.
+//   * Otherwise re-bias the exponent and round on the 13 dropped bits by
+//     adding 0xFFF plus the kept LSB; a carry into the exponent is exactly
+//     the desired rounding up to the next binade or to infinity.
 inline u16 encode_bits(f32 value) {
+  constexpr i32 kF16Overflow = (127 + 16) << 23;
+  constexpr i32 kF32Inf = 0xFF << 23;
+  constexpr i32 kMinNormal = (127 - 14) << 23;
+  constexpr f32 kDenormMagic = 0.5f;
   const u32 f = std::bit_cast<u32>(value);
   const u32 sign = (f >> 16) & 0x8000u;
-  const u32 exp = (f >> 23) & 0xFFu;
-  const u32 man = f & 0x7FFFFFu;
+  const u32 a = f & 0x7FFFFFFFu;
+  // |x|'s bits fit in i32, so signed compares are exact here; SSE2 only
+  // has signed vector compares, so unsigned ones would cost a bias each.
+  const i32 sa = static_cast<i32>(a);
 
-  if (exp == 0xFFu) {
-    // Inf or NaN. Keep a non-zero mantissa for NaN (quiet bit set).
-    const u16 nan_man = man ? static_cast<u16>((man >> 13) | 0x200u) : 0;
-    return static_cast<u16>(sign | 0x7C00u | nan_man);
-  }
+  const u32 subnormal =
+      std::bit_cast<u32>(std::bit_cast<f32>(a) + kDenormMagic) -
+      std::bit_cast<u32>(kDenormMagic);
+  const u32 normal =
+      (a - ((127u - 15u) << 23) + 0xFFFu + ((a >> 13) & 1u)) >> 13;
+  const u32 is_nan = mask_if(sa > kF32Inf);
+  const u32 inf_nan = 0x7C00u | (is_nan & (0x200u | ((a >> 13) & 0x3FFu)));
 
-  // Re-bias exponent: binary32 bias 127 -> binary16 bias 15.
-  const i32 e = static_cast<i32>(exp) - 127 + 15;
-  if (e >= 0x1F) {
-    return static_cast<u16>(sign | 0x7C00u);  // overflow -> inf
-  }
-  if (e <= 0) {
-    // Subnormal half (or underflow to zero). The implicit leading 1 of the
-    // binary32 mantissa becomes explicit, then shift right by (1 - e).
-    if (e < -10) return static_cast<u16>(sign);  // too small, round to zero
-    const u32 full = man | 0x800000u;
-    const u32 shift = static_cast<u32>(14 - e);  // 13 + (1 - e)
-    u32 half_man = full >> shift;
-    // Round to nearest even using the bits shifted out.
-    const u32 rem = full & ((1u << shift) - 1);
-    const u32 halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (half_man & 1u))) ++half_man;
-    return static_cast<u16>(sign | half_man);
-  }
-
-  u32 half = sign | (static_cast<u32>(e) << 10) | (man >> 13);
-  // Round to nearest even on the 13 dropped mantissa bits; carry may
-  // propagate into the exponent, which is exactly the desired behaviour
-  // (e.g. rounding up to the next binade or to infinity).
-  const u32 rem = man & 0x1FFFu;
-  if (rem > 0x1000u || (rem == 0x1000u && (half & 1u))) ++half;
-  return static_cast<u16>(half);
+  const u32 is_subnormal = mask_if(sa < kMinNormal);
+  const u32 is_overflow = mask_if(sa >= kF16Overflow);
+  const u32 out = (subnormal & is_subnormal) | (inf_nan & is_overflow) |
+                  (normal & ~(is_subnormal | is_overflow));
+  return static_cast<u16>(out | sign);
 }
 
 }  // namespace
@@ -86,26 +83,19 @@ u16 Fp16::encode(f32 value) { return encode_bits(value); }
 f32 Fp16::decode(u16 bits) { return decode_bits(bits); }
 
 void fp32_to_fp16(std::span<const f32> src, std::span<u16> dst) {
+  if (src.size() != dst.size()) {
+    throw std::invalid_argument("fp32_to_fp16: size mismatch");
+  }
   const std::size_t n = src.size();
   for (std::size_t i = 0; i < n; ++i) dst[i] = encode_bits(src[i]);
 }
 
 void fp16_to_fp32(std::span<const u16> src, std::span<f32> dst) {
+  if (src.size() != dst.size()) {
+    throw std::invalid_argument("fp16_to_fp32: size mismatch");
+  }
   const std::size_t n = src.size();
   for (std::size_t i = 0; i < n; ++i) dst[i] = decode_bits(src[i]);
-}
-
-f64 measure_fp16_to_fp32_throughput(u64 elems) {
-  std::vector<u16> src(elems);
-  std::vector<f32> dst(elems);
-  for (u64 i = 0; i < elems; ++i) src[i] = static_cast<u16>(i * 2654435761u);
-  const auto t0 = std::chrono::steady_clock::now();
-  fp16_to_fp32(src, dst);
-  const auto t1 = std::chrono::steady_clock::now();
-  const f64 secs = std::chrono::duration<f64>(t1 - t0).count();
-  // Throughput counted in FP32 output bytes, matching how the paper quotes
-  // its 65 GB/s conversion figure.
-  return secs > 0 ? static_cast<f64>(elems * sizeof(f32)) / secs : 0.0;
 }
 
 }  // namespace mlpo

@@ -5,8 +5,9 @@
 // offloading engine therefore needs fast, correct FP16<->FP32 conversion
 // kernels (paper §3.2, "delayed in-place mixed-precision gradient
 // conversion"). We implement binary16 in software so the library has no
-// hardware half-float dependency; the bulk kernels are written so compilers
-// auto-vectorise them.
+// hardware half-float dependency. Both codecs are branch-free, so the bulk
+// kernels auto-vectorise on the baseline x86-64 ISA (SSE2); tests/fp16_test
+// checks them bit for bit against a scalar oracle over every input.
 #pragma once
 
 #include <cstring>
@@ -49,18 +50,14 @@ class Fp16 {
   u16 bits_ = 0;
 };
 
-/// Bulk FP32 -> FP16 conversion ("downscale"). dst and src must have equal
-/// length.
+/// Bulk FP32 -> FP16 conversion ("downscale"), bit-identical to
+/// Fp16::encode per element. Throws std::invalid_argument unless dst and
+/// src have equal length.
 void fp32_to_fp16(std::span<const f32> src, std::span<u16> dst);
 
-/// Bulk FP16 -> FP32 conversion ("upscale"). dst and src must have equal
+/// Bulk FP16 -> FP32 conversion ("upscale"), bit-identical to Fp16::decode
+/// per element. Throws std::invalid_argument unless dst and src have equal
 /// length.
 void fp16_to_fp32(std::span<const u16> src, std::span<f32> dst);
-
-/// In-place FP16 -> FP32 upscale into a caller-provided scratch that aliases
-/// the engine's working buffer. Returns the achieved throughput in bytes of
-/// FP32 output per second (used to seed the performance model's conversion
-/// cost, paper reports ~65 GB/s on Testbed-1).
-f64 measure_fp16_to_fp32_throughput(u64 elems);
 
 }  // namespace mlpo

@@ -170,6 +170,17 @@ TEST(Equivalence, DifferentGradientsProduceDifferentStates) {
             run_config(true, true, true, true, 2));
 }
 
+TEST(Equivalence, GoldenDigestsPinned) {
+  // Every other test here compares engines with each other, so a kernel
+  // that is wrong but consistent (gradient generator, FP16 codec, Adam)
+  // would pass them all. These digests were recorded from the scalar
+  // kernels; the accumulation run also covers GradAccumulator::accumulate.
+  EXPECT_EQ(run_opts(EngineOptions::preset("mlp_offload")),
+            0xF05A753E20151F36ull);
+  EXPECT_EQ(run_opts(EngineOptions::preset("mlp_offload"), /*accum=*/2),
+            0x1768F227F29FA56Full);
+}
+
 // --- Graph-vs-linear execution parity ---------------------------------------
 //
 // The task-graph executor reorders and overlaps the same per-subgroup work

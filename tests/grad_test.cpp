@@ -2,6 +2,10 @@
 // kernels.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
 #include "train/grad_accum.hpp"
 #include "train/grad_source.hpp"
 #include "train/mixed_precision.hpp"
@@ -46,6 +50,76 @@ TEST(GradSource, Fp32MatchesUpscaledFp16) {
   src.generate_fp32(2, 3, 4, full);
   fp16_to_fp32(half, upscaled);
   EXPECT_EQ(full, upscaled);
+}
+
+// FNV-1a over the raw bytes: independent of the splitmix64 under test.
+template <typename T>
+u64 digest(const std::vector<T>& values) {
+  u64 h = 0xCBF29CE484222325ull;
+  for (const std::byte b : std::as_bytes(std::span<const T>(values))) {
+    h = (h ^ static_cast<u64>(b)) * 0x100000001B3ull;
+  }
+  return h;
+}
+
+struct GoldenStream {
+  int rank;
+  u32 subgroup;
+  u64 iteration;
+  std::size_t size;
+  u64 fp16_digest;
+  u64 fp32_digest;
+};
+
+// Recorded from the scalar per-element generator: the chunked generator
+// must reproduce every bit, including across chunk boundaries (511/512/513)
+// and in a ragged tail (12345).
+TEST(GradSource, GoldenDigestsPinned) {
+  const GoldenStream kGolden[] = {
+      {0, 0, 0, 1, 0x0ABF2407B715FE41ull,
+       0x4B8DCA7F9C73D5E9ull},
+      {0, 0, 0, 511, 0x5525070B37DB0330ull,
+       0xDEC0A18F468A4738ull},
+      {0, 0, 0, 512, 0xD4A65E092D9915B4ull,
+       0xE79D7243E723C0C6ull},
+      {0, 0, 0, 513, 0x8E9466193614D694ull,
+       0xC1A23D8D99AC1F86ull},
+      {0, 0, 0, 12345, 0xF19CE73D036D0161ull,
+       0xEFA8F5B015994570ull},
+      {1, 7, 3, 1, 0x092DA307B5C074F4ull,
+       0x223B047E63576B50ull},
+      {1, 7, 3, 511, 0xD498F95E508D56B2ull,
+       0x172B1A29FD2AAAE7ull},
+      {1, 7, 3, 512, 0xF6C3F3A2E6037730ull,
+       0x546A342B539810CCull},
+      {1, 7, 3, 513, 0xF717E312D99CABD7ull,
+       0xF8926B6D6B8918BBull},
+      {1, 7, 3, 12345, 0x57664509ECC93170ull,
+       0xF8E099B20C27441Cull},
+      {3, 123456, 987654321, 1, 0x07E7A707B4ABB920ull,
+       0x23FC037E64D53B79ull},
+      {3, 123456, 987654321, 511, 0x6E4C719D47820703ull,
+       0x5646E36108365FC3ull},
+      {3, 123456, 987654321, 512, 0x3B2C699CCF066EDEull,
+       0xEE449F824CA5D1E4ull},
+      {3, 123456, 987654321, 513, 0x8B77E6BCB9D27801ull,
+       0xB28FC30F75EBB42Aull},
+      {3, 123456, 987654321, 12345, 0xBD895AA963D3B720ull,
+       0xD95E63661B46F005ull},
+  };
+  const GradSource src;
+  for (const GoldenStream& g : kGolden) {
+    std::vector<u16> half(g.size);
+    std::vector<f32> full(g.size);
+    src.generate_fp16(g.rank, g.subgroup, g.iteration, half);
+    src.generate_fp32(g.rank, g.subgroup, g.iteration, full);
+    EXPECT_EQ(digest(half), g.fp16_digest)
+        << "rank=" << g.rank << " sg=" << g.subgroup << " iter=" << g.iteration
+        << " n=" << g.size;
+    EXPECT_EQ(digest(full), g.fp32_digest)
+        << "rank=" << g.rank << " sg=" << g.subgroup << " iter=" << g.iteration
+        << " n=" << g.size;
+  }
 }
 
 TEST(GradSource, ValuesAreSmallAndCentred) {
@@ -93,6 +167,28 @@ TEST(GradAccumulator, AccumulateParallelMatchesSerial) {
   for (std::size_t i = 0; i < 5000; ++i) {
     EXPECT_EQ(serial.fp16(0)[i], parallel.fp16(0)[i]) << i;
   }
+}
+
+TEST(GradAccumulator, AccumulateMatchesPerElementDecodeAddEncode) {
+  // 1300 elements span two full chunks and a tail. The sums include
+  // overflow to infinity and results in the subnormal range.
+  constexpr std::size_t n = 1300;
+  GradSource src;
+  std::vector<u16> a(n), b(n);
+  src.generate_fp16(0, 0, 0, a);
+  src.generate_fp16(0, 0, 1, b);
+  a[3] = b[3] = Fp16::encode(60000.0f);
+  a[4] = Fp16::encode(3e-6f);
+  b[4] = Fp16::encode(-2e-6f);
+  GradAccumulator accum(1, n);
+  accum.store(0, a);
+  accum.accumulate(0, b);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(accum.fp16(0)[i],
+              Fp16::encode(Fp16::decode(a[i]) + Fp16::decode(b[i])))
+        << i;
+  }
+  EXPECT_EQ(accum.fp16(0)[3], 0x7C00u);
 }
 
 TEST(GradAccumulator, UpscaleIntoMatchesScalarConversion) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "train/subgroup.hpp"
 
@@ -97,6 +98,21 @@ TEST(Subgroup, ChecksumDependsOnStepAndIdentity) {
   const u64 s0 = a.checksum();
   a.set_step(1);
   EXPECT_NE(a.checksum(), s0);
+}
+
+TEST(Subgroup, InitAndChecksumGoldenDigestsPinned) {
+  // Recorded before the two splitmix64 copies (init, checksum) were
+  // merged; the checksum folds every initialised parameter, so it pins
+  // deterministic_param_init bit for bit as well.
+  const std::pair<int, u32> kCoords[] = {{0, 0}, {1, 7}, {3, 123456}};
+  const u64 kGolden[] = {0x0394AA5993926B53ull, 0xAF808E2E417A5848ull,
+                         0x40A7260A996661B2ull};
+  for (std::size_t c = 0; c < 3; ++c) {
+    const auto [rank, id] = kCoords[c];
+    Subgroup sg(id, 1000, 1);
+    Subgroup::deterministic_param_init(rank, id, sg.params());
+    EXPECT_EQ(sg.checksum(), kGolden[c]) << "rank=" << rank << " id=" << id;
+  }
 }
 
 TEST(Subgroup, StorageKeyFormat) {
