@@ -2,9 +2,7 @@
 // increasing model sizes on Testbed-1, DeepSpeed ZeRO-3 vs MLP-Offload.
 // Paper: 242.3 -> 95.8 s (40B) ... 550.4 -> 262.8 s (120B); iterations
 // overall up to 2.7x faster, update phase up to 2.4x faster.
-#include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "bench_common.hpp"
@@ -56,93 +54,7 @@ std::vector<telemetry::Metric> run(BenchContext& ctx) {
   return out;
 }
 
-// Graph-mode variant (smoke-gated): the same MLP-Offload scenario run with
-// the linear pipeline vs the task-graph executor, at bit-identical
-// training state (the equivalence suite holds the bits). Two gated wins:
-//
-//   * overlap_ratio — busy-time over wall time, how many seconds of
-//     fetch+compute+flush fit into each wall second of the update phase.
-//     Graph mode queues the whole ready frontier and overlaps compute on
-//     the work-stealing pool, so this must come out strictly higher.
-//   * update_seconds — this scenario's update phase is bandwidth-bound and
-//     the scheduler is work-conserving, so both modes sit near the same IO
-//     floor; the gate therefore rejects material regression (the executor
-//     must not cost wall time) rather than demanding a speedup the
-//     physics caps. The frontier's wall-time win where bandwidth is NOT
-//     already saturated is gated separately in fig_io_scheduler_graph.
-f64 overlap_ratio(const IterationReport& r) {
-  return r.update_seconds > 0
-             ? (r.fetch_seconds + r.flush_seconds + r.update_compute_seconds) /
-                   r.update_seconds
-             : 0;
-}
-
-std::vector<telemetry::Metric> run_graph_mode(BenchContext& ctx) {
-  using telemetry::Better;
-  std::vector<telemetry::Metric> out;
-
-  const auto& model = paper_model("40B");
-  TablePrinter table({"Execution", "Update (s)", "Overlap", "Frontier HW",
-                      "Stolen", "Pool idle (s)"});
-  IterationReport reports[2];
-  for (const int graph : {0, 1}) {
-    auto cfg = scenario(model, TestbedSpec::testbed1(),
-                        EngineOptions::mlp_offload());
-    cfg.engine.execution = graph ? "graph" : "linear";
-    cfg.engine.graph_workers = 4;
-    reports[graph] = run_scenario(cfg).avg;
-    const auto& r = reports[graph];
-    table.add_row({graph ? "graph" : "linear",
-                   TablePrinter::num(r.update_seconds, 2),
-                   TablePrinter::num(overlap_ratio(r), 2),
-                   std::to_string(r.graph_frontier_high_water),
-                   std::to_string(r.graph_tasks_stolen),
-                   TablePrinter::num(r.graph_executor_idle_seconds, 2)});
-    const json::Object params{{"execution", graph ? "graph" : "linear"}};
-    out.push_back(metric("update_seconds", "s", r.update_seconds,
-                         Better::kLower, params));
-    out.push_back(metric("overlap_ratio", "x", overlap_ratio(r),
-                         Better::kHigher, params));
-  }
-  const f64 speedup = reports[0].update_seconds /
-                      std::max(reports[1].update_seconds, 1e-9);
-  out.push_back(
-      metric("graph_update_speedup", "x", speedup, Better::kHigher));
-  out.push_back(metric("graph_frontier_high_water", "nodes",
-                       static_cast<f64>(reports[1].graph_frontier_high_water),
-                       Better::kNeither));
-
-  if (ctx.print_tables()) {
-    table.print();
-    std::printf("\nUpdate phase: %.2f s (linear) -> %.2f s (graph), "
-                "%.2fx faster.\n",
-                reports[0].update_seconds, reports[1].update_seconds, speedup);
-  }
-  if (overlap_ratio(reports[1]) <= overlap_ratio(reports[0])) {
-    throw std::runtime_error(
-        "graph execution did not improve the update-phase overlap ratio");
-  }
-  if (reports[1].update_seconds > 1.10 * reports[0].update_seconds) {
-    throw std::runtime_error(
-        "graph execution materially regressed the update phase vs linear");
-  }
-  return out;
-}
-
 }  // namespace
-
-void register_fig07_graph_mode(BenchRegistry& r) {
-  r.add({.name = "fig07_graph_mode",
-         .title = "Figure 7 variant - update breakdown, linear vs task-graph "
-                  "execution",
-         .paper_claim =
-             "scheduling the iteration as a dependency graph exposes the "
-             "full IO frontier and overlaps subgroup compute, shrinking the "
-             "update phase at bit-identical training state",
-         .labels = {"smoke", "figure", "graph"},
-         .sweep = {{"execution", {"linear", "graph"}}},
-         .run = run_graph_mode});
-}
 
 void register_fig07_iteration_breakdown(BenchRegistry& r) {
   r.add({.name = "fig07_iteration_breakdown",

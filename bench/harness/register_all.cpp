@@ -10,7 +10,6 @@ void register_fig01_memory_wall(BenchRegistry&);
 void register_fig03_update_io_fraction(BenchRegistry&);
 void register_fig04_tier_concurrency(BenchRegistry&);
 void register_fig05_subgroup_throughput(BenchRegistry&);
-void register_fig07_graph_mode(BenchRegistry&);
 void register_fig07_iteration_breakdown(BenchRegistry&);
 void register_fig08_update_throughput(BenchRegistry&);
 void register_fig09_io_throughput(BenchRegistry&);
@@ -41,7 +40,6 @@ void register_all_cases(BenchRegistry& registry) {
   register_fig03_update_io_fraction(registry);
   register_fig04_tier_concurrency(registry);
   register_fig05_subgroup_throughput(registry);
-  register_fig07_graph_mode(registry);
   register_fig07_iteration_breakdown(registry);
   register_fig08_update_throughput(registry);
   register_fig09_io_throughput(registry);

@@ -1,8 +1,6 @@
 #include "core/engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "core/cpu_only_engine.hpp"
 #include "core/offload_engine.hpp"
@@ -29,16 +27,6 @@ void EngineOptions::validate_common() const {
         "EngineOptions: elem_scale must be >= 1 (simulated params per real "
         "element)");
   }
-  if (execution != "linear" && execution != "graph") {
-    throw std::invalid_argument("EngineOptions: unknown execution mode '" +
-                                execution + "' (known: linear graph)");
-  }
-}
-
-u32 EngineOptions::resolved_graph_workers() const {
-  if (graph_workers != 0) return std::max<u32>(2, graph_workers);
-  const u32 hw = std::thread::hardware_concurrency();
-  return std::clamp<u32>(hw == 0 ? 4 : hw, 2, 8);
 }
 
 void EngineOptions::validate_resolved(const UpdateOrderPolicy& order) const {

@@ -57,24 +57,6 @@ struct EngineOptions {
   /// the eager-flush DeepSpeed behaviour.
   std::string update_order_policy = "alternating_cache_friendly";
 
-  /// Iteration execution mode: "linear" runs the phase-sequential pipeline
-  /// (Alg. 1's fixed prefetch window), "graph" builds a per-iteration task
-  /// DAG and schedules it on a work-stealing pool so the IoScheduler sees
-  /// the full frontier of ready transfers. Bit-identical results either
-  /// way (the equivalence suite holds both engines to that); the order
-  /// policy becomes a tie-break among ready nodes under "graph".
-  std::string execution = "linear";
-
-  /// Worker threads of the graph-mode pool; 0 = auto (hardware
-  /// concurrency, clamped to [2, 8] so emulation hosts with many cores do
-  /// not multiply scaled-time noise). Ignored under "linear".
-  u32 graph_workers = 0;
-
-  /// The pool size graph-mode engines actually spawn: graph_workers when
-  /// set (floored at 2 — a one-worker pool can never steal), else the
-  /// auto clamp described above.
-  u32 resolved_graph_workers() const;
-
   /// Design principle 4: keep FP16 gradients on the host and upscale
   /// during the update. Off: upscale + flush FP32 gradients during the
   /// backward pass and fetch them with the subgroup (16 B/param payloads).

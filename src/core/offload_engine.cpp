@@ -23,7 +23,7 @@ struct OffloadEngine::UpdateSlot {
 namespace {
 
 // Per-priority scheduler telemetry: delta of the cumulative counters over
-// one update phase (shared by the linear and graph epilogues).
+// one update phase.
 void fold_io_stats(IterationReport& report, const IoScheduler::Stats& start,
                    const IoScheduler::Stats& end) {
   for (std::size_t c = 0; c < kIoPriorityCount; ++c) {
@@ -88,8 +88,8 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
   accum_ = std::make_unique<GradAccumulator>(accum_elems);
 
   // Staging slab sized for 16 worst-case subgroup images: comfortably more
-  // than the prefetch window + in-flight flush budget of the linear
-  // pipeline and the frontier bursts of graph mode, so steady-state
+  // than the prefetch window + in-flight flush budget of the update
+  // pipeline plus the backward phase's deposit scratch, so steady-state
   // acquire() never blocks and — the gated invariant — never falls back to
   // the heap.
   std::size_t max_bytes = 4096;
@@ -98,7 +98,6 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
     max_bytes = std::max(max_bytes, sg->serialized_bytes());
     max_elems = std::max(max_elems, sg->real_elems());
   }
-  max_serialized_bytes_ = max_bytes;
   BufferPool::Options pool_opts;
   pool_opts.slab_bytes = 16 * max_bytes;
   scratch_ = std::make_unique<BufferPool>(pool_opts);
@@ -110,14 +109,6 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
   std::vector<f64> bws = ctx_.vtier->path_bandwidths();
   if (!opts_.multipath) bws.resize(1);
   placement_->bind(std::move(bws), static_cast<u32>(subgroups_.size()));
-
-  if (opts_.execution == "graph") {
-    // The engine owns its pool (kept across iterations, workers spawned
-    // once) so the per-run Stats deltas in run_update_graph are exact.
-    graph_pool_ =
-        std::make_unique<WorkStealingPool>(opts_.resolved_graph_workers());
-    graph_exec_ = std::make_unique<GraphExecutor>(*graph_pool_);
-  }
 }
 
 OffloadEngine::~OffloadEngine() {
@@ -359,11 +350,6 @@ IterationReport OffloadEngine::run_update(u64 iteration) {
   if (!initialized_) {
     throw std::logic_error("OffloadEngine: run_update before initialize");
   }
-  return opts_.execution == "graph" ? run_update_graph(iteration)
-                                    : run_update_linear(iteration);
-}
-
-IterationReport OffloadEngine::run_update_linear(u64 iteration) {
   const f64 phase_start = ctx_.clock->now();
   const IoScheduler::Stats io_stats_start = ctx_.io->tenant_stats(ctx_.tenant);
   const u32 n = num_subgroups();
@@ -411,7 +397,6 @@ IterationReport OffloadEngine::run_update_linear(u64 iteration) {
   const u32 window = 1 + opts_.prefetch_ahead;
   while (next_issue < n && next_issue < window) issue(next_issue++);
 
-  IoBatch flush_batch;
   IoBatch h2d_batch;
   IterationReport report;
   report.iteration = iteration;
@@ -438,10 +423,6 @@ IterationReport OffloadEngine::run_update_linear(u64 iteration) {
       }
     }
     inflight_flushes.clear();
-    try {
-      flush_batch.wait_all();
-    } catch (...) {
-    }
     try {
       h2d_batch.wait_all();
     } catch (...) {
@@ -544,7 +525,6 @@ IterationReport OffloadEngine::run_update_linear(u64 iteration) {
     inflight_flushes.front().get();
     inflight_flushes.pop_front();
   }
-  flush_batch.wait_all();
   h2d_batch.wait_all();
   };  // pipeline
 
@@ -583,328 +563,6 @@ IterationReport OffloadEngine::run_update_linear(u64 iteration) {
   report.pool_heap_fallbacks =
       pool_now.heap_fallbacks - pool_mark_.heap_fallbacks;
   pool_mark_ = pool_now;
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Graph execution mode (EngineOptions::execution == "graph").
-//
-// The iteration becomes a DAG: per subgroup a fetch -> compute -> {h2d,
-// flush} chain, with the update-order position as the tie-break rank among
-// ready nodes. Compared to the linear pipeline there is no prefetch window
-// and no flush backpressure: every root fetch is queued on the IoScheduler
-// at once (the scheduler sees the full frontier and coalesces/prioritizes
-// across it), and compute overlaps freely on the work-stealing pool.
-//
-// Bit-identity with the linear pipeline (held to by the equivalence suite):
-// per-subgroup Adam math touches only that subgroup's state and gradients,
-// and the shard checksum is a commutative sum — so the schedule can change
-// without the results changing, provided no node ever reads stale state.
-// Three races could violate that, and each is closed structurally:
-//   * a cache hit being evicted (poisoned) before its compute runs — hits
-//     are claimed at build time by *removing* the id from the cache
-//     ("pin-by-erase"; insert() can then never select it as a victim), and
-//     the subgroup's flush node re-inserts it after the update;
-//   * a fetch racing the victim's own in-flight eviction write on a
-//     separate read channel — eviction registers the victim in
-//     graph_pending_flush_ in the same critical section that invalidates
-//     the host copy, and a fetch finding its id there parks a continuation
-//     that the flush's on_settle runs only after the write has landed;
-//   * torn eviction bookkeeping — serialize + poison + host_valid_ clear +
-//     cache erase + pending-flush registration happen under one
-//     graph_mutex_ hold.
-
-void OffloadEngine::submit_graph_fetch(
-    UpdateSlot& slot, std::function<void(std::exception_ptr)> done) {
-  Subgroup& sg = *subgroups_[slot.id];
-  const std::string key = state_key(slot.id);
-  const std::size_t loc = ctx_.vtier->locate(key);
-
-  IoRequest req = IoRequest::tier_read(
-      key, sg.sim_state_bytes(), IoPriority::kDemandPrefetch,
-      loc == VirtualTier::npos ? IoRequest::kAutoPath : loc);
-  req.work = [this, &slot](IoChannel& chan) -> u64 {
-    return fetch_subgroup(slot, chan);
-  };
-  req.on_complete = [this, &slot, loc](const IoResult& r) {
-    slot.fetch_seconds = r.service_seconds;
-    slot.fetch_sim_bytes = r.sim_bytes;
-    placement_->observe(loc == VirtualTier::npos ? 0 : loc, r.sim_bytes,
-                        r.service_seconds, r.queue_wait_seconds);
-  };
-  req.on_settle = [done = std::move(done)](std::exception_ptr e) {
-    done(std::move(e));
-  };
-  submit_io(std::move(req));
-}
-
-void OffloadEngine::graph_fetch(TaskContext& tc, UpdateSlot& slot) {
-  if (slot.cache_hit) {
-    if (opts_.delayed_grad_conversion) return;  // state and grads host-resident
-    // Baseline gradient path: the optimizer state is cached but this
-    // subgroup's FP32 gradients were flushed during the backward pass and
-    // must come back (4 B/param) before the update.
-    Subgroup& sg = *subgroups_[slot.id];
-    const std::string gkey = grad_key(slot.id);
-    const std::size_t loc = ctx_.vtier->locate(gkey);
-    if (loc == VirtualTier::npos) {
-      throw std::runtime_error("OffloadEngine: gradients missing for " + gkey);
-    }
-    const u64 grad_sim = sg.sim_params() * kFp32Bytes;
-    auto done = tc.defer();
-    IoRequest req = IoRequest::tier_read(gkey, grad_sim,
-                                         IoPriority::kDemandPrefetch, loc);
-    req.work = [&slot, &sg, gkey, grad_sim](IoChannel& chan) -> u64 {
-      slot.grads_fp32.resize(sg.real_elems());
-      std::span<u8> bytes(reinterpret_cast<u8*>(slot.grads_fp32.data()),
-                          slot.grads_fp32.size() * sizeof(f32));
-      chan.read(gkey, bytes, grad_sim);
-      chan.erase(gkey);
-      return grad_sim;
-    };
-    req.on_complete = [&slot](const IoResult& r) {
-      slot.fetch_seconds = r.service_seconds;
-      slot.fetch_sim_bytes = r.sim_bytes;
-    };
-    req.on_settle = [done](std::exception_ptr e) { done(std::move(e)); };
-    submit_io(std::move(req));
-    return;
-  }
-
-  auto done = tc.defer();
-  {
-    MutexLock lock(graph_mutex_);
-    const auto it = graph_pending_flush_.find(slot.id);
-    if (it != graph_pending_flush_.end()) {
-      // This subgroup's eviction write is still in flight: reading the
-      // tier now could return the pre-update image (the read and write
-      // channels of a path are not ordered against each other). Park the
-      // fetch; the flush's settle hook runs it once the write has landed.
-      // The continuation runs inside that hook, which must not throw — a
-      // failed re-submit is converted into this node's failure instead.
-      it->second.push_back([this, &slot, done] {
-        try {
-          submit_graph_fetch(slot, done);
-        } catch (...) {
-          done(std::current_exception());
-        }
-      });
-      return;
-    }
-  }
-  submit_graph_fetch(slot, std::move(done));
-}
-
-void OffloadEngine::graph_compute(TaskContext& tc, UpdateSlot& slot,
-                                  std::vector<SubgroupTrace>& traces) {
-  (void)tc;
-  Subgroup& sg = *subgroups_[slot.id];
-  SubgroupTrace& trace = traces[slot.id];
-
-  if (slot.cache_hit) {
-    MutexLock lock(graph_mutex_);
-    if (!host_valid_[slot.id]) {
-      // Structurally impossible (pinned hits cannot be evicted); kept as
-      // a loud tripwire mirroring the linear pipeline's check.
-      throw std::logic_error(
-          "OffloadEngine: cached subgroup evicted before use");
-    }
-  } else {
-    MutexLock lock(graph_mutex_);
-    host_valid_[slot.id] = 1;
-  }
-  trace.host_cache_hit = slot.cache_hit;
-  trace.read_seconds = slot.fetch_seconds;
-  trace.sim_bytes_read = slot.fetch_sim_bytes;
-
-  SimTimer kernel_timer(*ctx_.clock);
-  if (opts_.delayed_grad_conversion) {
-    slot.grads_fp32.resize(sg.real_elems());
-    accum_->upscale_into(slot.id, slot.grads_fp32, ctx_.cpu_pool);
-    ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
-  }
-  sg.set_step(sg.step() + 1);
-  adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-              slot.grads_fp32, sg.step(), ctx_.cpu_pool);
-  trace.compute_seconds =
-      charge_update_compute(sg.sim_params(), kernel_timer.elapsed());
-}
-
-void OffloadEngine::graph_h2d(TaskContext& tc, UpdateSlot& slot) {
-  Subgroup& sg = *subgroups_[slot.id];
-  auto done = tc.defer();
-  IoRequest h2d = IoRequest::link_transfer(
-      IoTarget::kH2DLink, state_key(slot.id), sg.sim_fp16_param_bytes(),
-      IoPriority::kDemandPrefetch);
-  h2d.on_settle = [done](std::exception_ptr e) { done(std::move(e)); };
-  submit_io(std::move(h2d));
-}
-
-void OffloadEngine::graph_flush(TaskContext& tc, UpdateSlot& slot,
-                                std::vector<SubgroupTrace>& traces) {
-  u32 victim = slot.id;
-  std::shared_ptr<BufferPool::Lease> buf;
-  std::size_t buf_bytes = 0;
-  // Acquire the staging lease BEFORE graph_mutex_: a blocking acquire
-  // under the lock could deadlock against an earlier flush whose settle
-  // hook must take the lock (drain) before its own lease is released. The
-  // victim is unknown until we hold the lock, so lease the worst case.
-  BufferPool::Lease lease = scratch_->acquire(max_serialized_bytes_);
-  {
-    MutexLock lock(graph_mutex_);
-    if (use_host_cache_) {
-      host_valid_[slot.id] = 1;
-      const auto evicted = cache_.insert(slot.id);
-      if (!evicted) return;  // stays cached; lease releases on scope exit
-      victim = *evicted;
-    }
-    // Atomic eviction bookkeeping: choose the victim, capture its host
-    // copy, invalidate it, and register the in-flight flush in one hold —
-    // a concurrent fetch of the victim either sees none of this or parks
-    // on the pending entry, never a half-evicted state.
-    Subgroup& v = *subgroups_[victim];
-    buf_bytes = v.serialized_bytes();
-    v.serialize(lease.bytes().subspan(0, buf_bytes));
-    poison_host_state(v);
-    host_valid_[victim] = 0;
-    cache_.erase(victim);
-    graph_pending_flush_[victim];
-  }
-  buf = std::make_shared<BufferPool::Lease>(std::move(lease));
-
-  auto done = tc.defer();
-  const auto drain = [this, victim] {
-    std::vector<std::function<void()>> parked;
-    {
-      MutexLock lock(graph_mutex_);
-      const auto it = graph_pending_flush_.find(victim);
-      if (it != graph_pending_flush_.end()) {
-        parked = std::move(it->second);
-        graph_pending_flush_.erase(it);
-      }
-    }
-    for (auto& continuation : parked) continuation();
-  };
-
-  // Any failure from here on must still drain the pending entry we just
-  // registered, or a fetch parked on it would hang the run.
-  try {
-    const std::size_t path = placement_->path_for(victim);
-    const u64 sim = subgroups_[victim]->sim_state_bytes();
-    IoRequest req = IoRequest::tier_write(state_key(victim), path, sim,
-                                          IoPriority::kLazyFlush);
-    req.work = [buf, buf_bytes, sim, key = req.key](IoChannel& chan) -> u64 {
-      chan.write(key, std::span<const u8>(buf->data(), buf_bytes), sim);
-      return sim;
-    };
-    req.on_complete = [this, victim, path, sim, &traces](const IoResult& r) {
-      placement_->observe(path, sim, r.service_seconds, r.queue_wait_seconds);
-      traces[victim].write_seconds += r.service_seconds;
-      traces[victim].sim_bytes_written += sim;
-    };
-    req.on_settle = [drain, done](std::exception_ptr e) {
-      // The write has landed (or definitively failed); releasing parked
-      // fetches of the victim is now safe — and mandatory, a parked fetch
-      // left unreleased would hang the run.
-      drain();
-      done(std::move(e));
-    };
-    submit_io(std::move(req));
-  } catch (...) {
-    drain();
-    done(std::current_exception());
-  }
-}
-
-IterationReport OffloadEngine::run_update_graph(u64 iteration) {
-  const f64 phase_start = ctx_.clock->now();
-  const IoScheduler::Stats io_stats_start = ctx_.io->tenant_stats(ctx_.tenant);
-  const u32 n = num_subgroups();
-
-  placement_->rebalance();
-  const std::vector<u32> residents = cache_.resident();
-  const std::vector<u32> order =
-      order_policy_->order(n, iteration, residents);
-  validate_order_permutation(order, n, order_policy_->name());
-
-  std::vector<SubgroupTrace> traces(n);
-  for (u32 id = 0; id < n; ++id) traces[id].subgroup_id = id;
-  reset_slots(n);
-  std::vector<UpdateSlot>& slots = slots_;
-
-  // Build the DAG while still single-threaded. Cache hits are claimed and
-  // pinned here (see the pin-by-erase note above); everything in the cache
-  // at this point is lazy-flush residue from the previous iteration, so
-  // after this loop the cache is empty and refills as flush nodes run.
-  TaskGraph graph;
-  for (u32 pos = 0; pos < n; ++pos) {
-    UpdateSlot& slot = slots[pos];
-    slot.id = order[pos];
-    if (use_host_cache_ && host_valid_[slot.id] && cache_.contains(slot.id)) {
-      slot.cache_hit = true;
-      cache_.erase(slot.id);
-    }
-    const std::string tag = std::to_string(slot.id);
-    const u32 compute =
-        graph.add_node(NodeKind::kCompute, "update:" + tag, pos,
-                       [this, &slot, &traces](TaskContext& tc) {
-                         graph_compute(tc, slot, traces);
-                       });
-    if (!slot.cache_hit || !opts_.delayed_grad_conversion) {
-      const u32 fetch = graph.add_node(
-          slot.cache_hit ? NodeKind::kGradDeposit : NodeKind::kFetch,
-          (slot.cache_hit ? "grad:" : "fetch:") + tag, pos,
-          [this, &slot](TaskContext& tc) { graph_fetch(tc, slot); });
-      graph.add_edge(fetch, compute);
-    }
-    const u32 h2d =
-        graph.add_node(NodeKind::kCompute, "h2d:" + tag, pos,
-                       [this, &slot](TaskContext& tc) { graph_h2d(tc, slot); });
-    graph.add_edge(compute, h2d);
-    const u32 flush = graph.add_node(NodeKind::kFlush, "flush:" + tag, pos,
-                                     [this, &slot, &traces](TaskContext& tc) {
-                                       graph_flush(tc, slot, traces);
-                                     });
-    graph.add_edge(compute, flush);
-  }
-
-  // run() returns (or rethrows) only after every node — including deferred
-  // IO completions — has settled, so no node outlives slots/traces. Parked
-  // continuations are drained by their flush's settle hook on every path.
-  const GraphExecutor::Stats stats = graph_exec_->run(graph, [this] {
-    // First failure: abandon queued demand reads (same rationale as the
-    // linear pipeline's catch path — each would otherwise dispatch
-    // serially on a fail-stopped tier just to fail). Queued writes stay;
-    // a flush may carry the only copy of an updated subgroup. Scoped to
-    // this engine's tenant — neighbours' queued reads are untouched.
-    ctx_.io->cancel_queued(IoPriority::kDemandPrefetch, ctx_.tenant);
-  });
-
-  IterationReport report;
-  report.iteration = iteration;
-  report.subgroups_processed = n;
-  report.params_updated = layout_.shard_params;
-  report.traces.reserve(n);
-  for (u32 pos = 0; pos < n; ++pos) {
-    if (slots[pos].cache_hit) ++report.host_cache_hits;
-    const SubgroupTrace& t = traces[order[pos]];
-    report.traces.push_back(t);
-    report.sim_bytes_fetched += t.sim_bytes_read;
-    report.sim_bytes_flushed += t.sim_bytes_written;
-    report.fetch_seconds += t.read_seconds;
-    report.flush_seconds += t.write_seconds;
-    report.update_compute_seconds += t.compute_seconds;
-  }
-  report.update_seconds = ctx_.clock->now() - phase_start;
-  fold_io_stats(report, io_stats_start, ctx_.io->tenant_stats(ctx_.tenant));
-  const BufferPool::Stats pool_now = scratch_->stats();
-  report.pool_acquires = pool_now.acquires - pool_mark_.acquires;
-  report.pool_heap_fallbacks =
-      pool_now.heap_fallbacks - pool_mark_.heap_fallbacks;
-  pool_mark_ = pool_now;
-  report.graph_frontier_high_water = stats.frontier_high_water;
-  report.graph_tasks_stolen = stats.tasks_stolen;
-  report.graph_executor_idle_seconds = stats.idle_seconds;
   return report;
 }
 

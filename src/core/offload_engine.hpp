@@ -16,14 +16,11 @@
 // policies (src/policy/) selected by name in EngineOptions.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/host_cache.hpp"
-#include "graph/graph_executor.hpp"
 #include "io/io_batch.hpp"
 #include "io/io_scheduler.hpp"
 #include "policy/placement_policy.hpp"
@@ -31,8 +28,6 @@
 #include "tiers/virtual_tier.hpp"
 #include "train/grad_accum.hpp"
 #include "util/aligned_buffer.hpp"
-#include "util/mutex.hpp"
-#include "util/work_stealing_pool.hpp"
 
 namespace mlpo {
 
@@ -109,21 +104,6 @@ class OffloadEngine final : public Engine {
                                          std::vector<SubgroupTrace>* traces);
   f64 charge_update_compute(u64 sim_params, f64 real_kernel_vseconds);
 
-  // --- the two iteration execution modes (EngineOptions::execution) ---
-  IterationReport run_update_linear(u64 iteration);
-  IterationReport run_update_graph(u64 iteration);
-  // Graph-mode node bodies. Each receives its UpdateSlot; IO-issuing nodes
-  // call TaskContext::defer() and complete from IoRequest::on_settle so a
-  // pool worker never blocks on a transfer.
-  void graph_fetch(TaskContext& tc, UpdateSlot& slot);
-  void graph_compute(TaskContext& tc, UpdateSlot& slot,
-                     std::vector<SubgroupTrace>& traces);
-  void graph_h2d(TaskContext& tc, UpdateSlot& slot);
-  void graph_flush(TaskContext& tc, UpdateSlot& slot,
-                   std::vector<SubgroupTrace>& traces);
-  void submit_graph_fetch(UpdateSlot& slot,
-                          std::function<void(std::exception_ptr)> done);
-
   EngineContext ctx_;
   EngineOptions opts_;
   ShardLayout layout_;
@@ -140,32 +120,15 @@ class OffloadEngine final : public Engine {
   /// One slab behind every transient I/O-path buffer (fetch staging, flush
   /// serialization, deposit scratch): steady-state iterations suballocate
   /// from here instead of the heap. Created in the ctor once the subgroup
-  /// geometry is known; declared before slots_/graph state so any late
-  /// lease holders destruct first.
+  /// geometry is known; declared before slots_ so any late lease holders
+  /// destruct first.
   std::unique_ptr<BufferPool> scratch_;
-  std::size_t max_serialized_bytes_ = 0;
   /// Persistent per-position update slots, grads_fp32 reserved once to the
   /// largest subgroup — run_update reuses them every iteration.
   std::vector<UpdateSlot> slots_;
   /// stats() snapshot at the end of the previous update phase; the delta
   /// reported per iteration therefore also covers backward-phase deposits.
   BufferPool::Stats pool_mark_{};
-
-  // Graph mode only (null under "linear"). The engine owns its pool so
-  // GraphExecutor::Stats deltas are exact per iteration.
-  std::unique_ptr<WorkStealingPool> graph_pool_;
-  std::unique_ptr<GraphExecutor> graph_exec_;
-  /// Serializes graph-node access to the linear-era shared state
-  /// (cache_, host_valid_, subgroup host buffers during serialize/poison).
-  /// The linear path never takes it — single-threaded by construction —
-  /// so those members stay unannotated; TSan covers the graph path.
-  Mutex graph_mutex_;
-  /// Subgroups with an in-flight lazy flush, keyed by id. A fetch node for
-  /// such an id parks a continuation here instead of racing its own
-  /// eviction write on a separate read channel; the flush's on_settle
-  /// drains the list once the write has landed on the tier.
-  std::unordered_map<u32, std::vector<std::function<void()>>>
-      graph_pending_flush_ MLPO_GUARDED_BY(graph_mutex_);
 };
 
 }  // namespace mlpo

@@ -64,18 +64,6 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
   // performance model" static split.
   placement_->bind(std::move(bandwidths),
                    static_cast<u32>(subgroups_.size()));
-
-  if (opts_.execution == "graph") {
-    graph_pool_ =
-        std::make_unique<WorkStealingPool>(opts_.resolved_graph_workers());
-    graph_exec_ = std::make_unique<GraphExecutor>(*graph_pool_);
-    // Every pool worker can hold one compute node's FP32 scratch at a
-    // time; the +2 slack keeps acquire() from ever blocking a worker.
-    BufferPool::Options pool_opts;
-    pool_opts.slab_bytes = (opts_.resolved_graph_workers() + 2) *
-                           max_elems * sizeof(f32);
-    fp32_pool_ = std::make_unique<BufferPool>(pool_opts);
-  }
 }
 
 std::string TensorNvmeEngine::state_key(u32 id) const {
@@ -169,11 +157,6 @@ IterationReport TensorNvmeEngine::run_update(u64 iteration) {
   if (!initialized_) {
     throw std::logic_error("TensorNvmeEngine: run_update before initialize");
   }
-  return opts_.execution == "graph" ? run_update_graph(iteration)
-                                    : run_update_linear(iteration);
-}
-
-IterationReport TensorNvmeEngine::run_update_linear(u64 iteration) {
   const f64 phase_start = ctx_.clock->now();
   const u32 n = num_subgroups();
   placement_->rebalance();
@@ -244,125 +227,6 @@ IterationReport TensorNvmeEngine::run_update_linear(u64 iteration) {
   }
   report.params_updated = layout_.shard_params;
   report.update_seconds = ctx_.clock->now() - phase_start;
-  return report;
-}
-
-IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
-  // Graph form of the TensorNVMe discipline: per subgroup a fetch ->
-  // compute -> {h2d, flush} chain. The per-tensor futures stay — a fetch
-  // node blocks its pool worker on the offloader's read future (the
-  // facade has no settle hook to defer on), but chains for different
-  // subgroups overlap freely, which the serial per-tensor loop never
-  // could. Offloader calls are serialized under graph_mutex_ (their
-  // pending batches are plain future collectors); the blocking get()
-  // happens outside the lock.
-  const f64 phase_start = ctx_.clock->now();
-  const u32 n = num_subgroups();
-  placement_->rebalance();
-  const std::vector<u32> order = order_policy_->order(n, iteration, {});
-  validate_order_permutation(order, n, order_policy_->name());
-
-  std::vector<SubgroupTrace> traces(n);
-  for (u32 id = 0; id < n; ++id) traces[id].subgroup_id = id;
-
-  TaskGraph graph;
-  for (u32 pos = 0; pos < n; ++pos) {
-    const u32 id = order[pos];
-    const std::string tag = std::to_string(id);
-    const u32 fetch = graph.add_node(
-        NodeKind::kFetch, "fetch:" + tag, pos,
-        [this, id, &traces](TaskContext&) {
-          Subgroup& sg = *subgroups_[id];
-          SimTimer read_timer(*ctx_.clock);
-          std::future<void> fut;
-          {
-            MutexLock lock(graph_mutex_);
-            fut = offloaders_[stored_path_[id]]->async_read(
-                state_key(id), staging_[id], sg.sim_state_bytes());
-          }
-          fut.get();
-          unpack_staging(id);
-          traces[id].read_seconds = read_timer.elapsed();
-          traces[id].sim_bytes_read = sg.sim_state_bytes();
-        });
-    const u32 compute = graph.add_node(
-        NodeKind::kCompute, "update:" + tag, pos,
-        [this, id, &traces](TaskContext&) {
-          Subgroup& sg = *subgroups_[id];
-          SimTimer kernel_timer(*ctx_.clock);
-          BufferPool::Lease lease =
-              fp32_pool_->acquire(sg.real_elems() * sizeof(f32));
-          const std::span<f32> grads_fp32 = lease.as<f32>();
-          accum_->upscale_into(id, grads_fp32, ctx_.cpu_pool);
-          ctx_.clock->sleep_for(
-              opts_.convert.seconds_for_params(sg.sim_params()));
-          sg.set_step(sg.step() + 1);
-          adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-                      grads_fp32, sg.step(), ctx_.cpu_pool);
-          const f64 budget =
-              static_cast<f64>(sg.sim_params()) / opts_.cpu_update_rate;
-          const f64 real = kernel_timer.elapsed();
-          if (budget > real) ctx_.clock->sleep_for(budget - real);
-          traces[id].compute_seconds = budget;
-        });
-    graph.add_edge(fetch, compute);
-    const u32 h2d = graph.add_node(
-        NodeKind::kCompute, "h2d:" + tag, pos, [this, id](TaskContext& tc) {
-          Subgroup& sg = *subgroups_[id];
-          auto done = tc.defer();
-          IoRequest h2d_req = IoRequest::link_transfer(
-              IoTarget::kH2DLink, state_key(id), sg.sim_fp16_param_bytes(),
-              IoPriority::kDemandPrefetch);
-          h2d_req.on_settle = [done](std::exception_ptr e) {
-            done(std::move(e));
-          };
-          submit_io(std::move(h2d_req));
-        });
-    graph.add_edge(compute, h2d);
-    const u32 flush = graph.add_node(
-        NodeKind::kFlush, "flush:" + tag, pos,
-        [this, id, &traces](TaskContext&) {
-          MutexLock lock(graph_mutex_);
-          write_through(id);
-          traces[id].sim_bytes_written = subgroups_[id]->sim_state_bytes();
-        });
-    graph.add_edge(compute, flush);
-  }
-
-  const GraphExecutor::Stats stats = graph_exec_->run(graph, [this] {
-    // First failure: abandon queued demand reads so the unwind is not
-    // serialized behind reads that would each dispatch just to fail.
-    // Tenant-scoped — neighbours on a shared scheduler are untouched.
-    ctx_.io->cancel_queued(IoPriority::kDemandPrefetch, ctx_.tenant);
-  });
-
-  IterationReport report;
-  report.iteration = iteration;
-  report.subgroups_processed = n;
-  report.params_updated = layout_.shard_params;
-  report.traces.reserve(n);
-  for (u32 pos = 0; pos < n; ++pos) {
-    const SubgroupTrace& t = traces[order[pos]];
-    report.traces.push_back(t);
-    report.sim_bytes_fetched += t.sim_bytes_read;
-    report.sim_bytes_flushed += t.sim_bytes_written;
-    report.fetch_seconds += t.read_seconds;
-    report.update_compute_seconds += t.compute_seconds;
-  }
-  {
-    SimTimer flush_timer(*ctx_.clock);
-    for (auto& off : offloaders_) off->synchronize();
-    report.flush_seconds = flush_timer.elapsed();
-  }
-  report.update_seconds = ctx_.clock->now() - phase_start;
-  report.graph_frontier_high_water = stats.frontier_high_water;
-  report.graph_tasks_stolen = stats.tasks_stolen;
-  report.graph_executor_idle_seconds = stats.idle_seconds;
-  const BufferPool::Stats pool_now = fp32_pool_->stats();
-  report.pool_acquires = pool_now.acquires - pool_mark_.acquires;
-  report.pool_heap_fallbacks =
-      pool_now.heap_fallbacks - pool_mark_.heap_fallbacks;
-  pool_mark_ = pool_now;
   return report;
 }
 

@@ -20,14 +20,11 @@
 
 #include "core/disk_offloader.hpp"
 #include "core/engine.hpp"
-#include "graph/graph_executor.hpp"
 #include "policy/placement_policy.hpp"
 #include "policy/update_order_policy.hpp"
 #include "tiers/virtual_tier.hpp"
 #include "train/grad_accum.hpp"
 #include "util/aligned_buffer.hpp"
-#include "util/mutex.hpp"
-#include "util/work_stealing_pool.hpp"
 
 namespace mlpo {
 
@@ -81,9 +78,6 @@ class TensorNvmeEngine final : public Engine {
   /// Write subgroup `id`'s staging tensor to the offloader the placement
   /// policy currently assigns it, recording that location for later reads.
   void write_through(u32 id);
-  // The two iteration execution modes (EngineOptions::execution).
-  IterationReport run_update_linear(u64 iteration);
-  IterationReport run_update_graph(u64 iteration);
 
   EngineContext ctx_;
   EngineOptions opts_;
@@ -104,24 +98,11 @@ class TensorNvmeEngine final : public Engine {
   IoBatch gradient_io_;
   /// Reserved-once scratch for the serial paths: deposits ride the single
   /// D2H link channel (one work function at a time per engine) and the
-  /// linear update loop is single-threaded, so member buffers keep them
+  /// update loop is single-threaded, so member buffers keep them
   /// allocation-free without a pool.
   std::vector<u16> grad_scratch_;
   std::vector<f32> fp32_scratch_;
   bool initialized_ = false;
-
-  // Graph mode only (null under "linear").
-  std::unique_ptr<WorkStealingPool> graph_pool_;
-  std::unique_ptr<GraphExecutor> graph_exec_;
-  /// FP32 gradient scratch for graph-mode compute nodes, which run
-  /// concurrently on the work-stealing pool (unlike the serial paths
-  /// above) and so draw leases instead of sharing a member buffer.
-  std::unique_ptr<BufferPool> fp32_pool_;
-  BufferPool::Stats pool_mark_{};
-  /// Serializes graph-node access to the DiskOffloaders (their pending
-  /// batches are plain future collectors, not thread-safe). The linear
-  /// path never takes it.
-  Mutex graph_mutex_;
 };
 
 }  // namespace mlpo

@@ -133,17 +133,6 @@ struct IoRequest {
   /// the OffloadEngine feeds PerfModel::observe.
   std::function<void(const IoResult&)> on_complete{};
 
-  /// Invoked exactly once after the future has settled, on *every* path:
-  /// success (null exception_ptr), execution failure, cancellation while
-  /// queued, and submit-after-shutdown rejection — always after
-  /// on_complete. This is the asynchronous completion edge the graph
-  /// executor hangs IO nodes on: the node returns immediately after
-  /// submitting and completes from here, so no executor worker blocks on a
-  /// future and the scheduler sees the whole ready frontier at once. Runs
-  /// on the dispatch thread (or the submitting thread for the shutdown
-  /// rejection); must not throw.
-  std::function<void(std::exception_ptr)> on_settle{};
-
   // Factories for the common shapes; callers attach spans/work/callbacks
   // to the returned skeleton.
 

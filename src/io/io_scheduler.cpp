@@ -229,9 +229,8 @@ std::future<void> IoScheduler::submit(IoRequest req) {
     }
   }
   if (rejected) {
-    // Settled outside q.mutex: on_settle is an arbitrary callback (the
-    // graph executor's completion edge) and must never run under a
-    // channel lock.
+    // Settled outside q.mutex so the retired-errors lock never nests
+    // inside a channel lock.
     settle(*pending, std::make_exception_ptr(std::runtime_error(
                          "IoScheduler: submit after shutdown")));
     return fut;
@@ -493,7 +492,7 @@ void IoScheduler::run_batch(ChannelQueue& q,
 
     // Async dispatch: when the backing tier settles on real device events,
     // hand the transfer to its completion engine and move on — the request
-    // settles (stats, on_complete, future, on_settle) from the completion
+    // settles (stats, on_complete, future) from the completion
     // callback with the genuinely observed service time, not a simulated
     // one. Sync backends (throttled/simulated tiers) keep the inline path
     // below, where SimClock charges the modelled service time.
@@ -651,18 +650,10 @@ void IoScheduler::settle(Pending& pending, std::exception_ptr error) {
   // no longer references anything the engine owns.
   pending.req.work = nullptr;
   pending.req.on_complete = nullptr;
-  if (error) {
-    settle_error(pending, error);
-  } else {
+  if (!error) {
     pending.done.set_value();
+    return;
   }
-  // on_settle fires strictly after the future has settled, so a hook that
-  // hands the result to another thread can let that thread get() without
-  // blocking. Every settled request passes through here exactly once.
-  if (pending.req.on_settle) pending.req.on_settle(std::move(error));
-}
-
-void IoScheduler::settle_error(Pending& pending, std::exception_ptr error) {
   // Failing the future also pins a copy of the exception_ptr until the
   // scheduler is destroyed. Without the pin, the LAST release of the
   // exception is unordered between the waiter (rethrow from get(),

@@ -253,7 +253,6 @@ class IoScheduler {
   ChannelQueue& route(const IoRequest& req);
   ChannelQueue& external_channel_for(StorageTier* tier);
   void settle(Pending& pending, std::exception_ptr error);
-  void settle_error(Pending& pending, std::exception_ptr error);
   std::size_t cancel_queued_matching(const IoPriority* priority,
                                      const u32* tenant);
   std::size_t class_of(const IoRequest& req) const;
@@ -306,7 +305,7 @@ class IoScheduler {
   std::map<u32, u64> tenant_settled_ MLPO_GUARDED_BY(drain_mutex_);
 
   // Every exception_ptr settled into a future is also pinned here until
-  // the scheduler is destroyed (see settle_error for why). One pointer
+  // the scheduler is destroyed (see settle for why). One pointer
   // per FAILED request — the success path retains nothing — so the cost
   // is bounded by the number of failures/cancellations in the
   // scheduler's lifetime, which are exceptional by construction.

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 
 #include "policy/policy_registry.hpp"
@@ -15,6 +16,24 @@ TestbedSpec testbed_by_name(const std::string& name) {
 }
 
 EngineOptions engine_from_json(const json::Value& section) {
+  if (!section.is_object()) {
+    throw std::invalid_argument("config: \"mlp_offload\" must be an object");
+  }
+  // Strict like the "jobs" parser: unknown keys abort naming the known set
+  // — a typoed "prefetch_ahaed" must not silently keep the default.
+  static const std::set<std::string> known{
+      "enabled", "preset", "engine", "multipath", "delayed_grad_conversion",
+      "tier_exclusive_locking", "placement_policy", "update_order_policy",
+      "prefetch_ahead", "host_cache_subgroups"};
+  for (const auto& [key, value] : section.as_object()) {
+    (void)value;
+    if (known.count(key) == 0) {
+      std::string known_list;
+      for (const auto& k : known) known_list += " " + k;
+      throw std::invalid_argument("config: unknown mlp_offload key '" + key +
+                                  "' (known:" + known_list + ")");
+    }
+  }
   // Base bundle: an explicit "preset" wins; otherwise "enabled": false
   // selects the DeepSpeed ZeRO-3 baseline. Individual keys then override
   // (ablation configs).
@@ -37,21 +56,9 @@ EngineOptions engine_from_json(const json::Value& section) {
   opts.tier_exclusive_locking =
       section.bool_or("tier_exclusive_locking", opts.tier_exclusive_locking);
 
-  // Legacy boolean spellings first, mapped onto the policy names...
-  if (section.contains("cache_friendly_order")) {
-    opts.update_order_policy = section.at("cache_friendly_order").as_bool()
-                                   ? "alternating_cache_friendly"
-                                   : "ascending";
-  }
-  if (section.contains("adaptive_placement")) {
-    opts.placement_policy = section.at("adaptive_placement").as_bool()
-                                ? "adaptive_ema"
-                                : "eq1_static";
-  }
-  // ...then the explicit policy-name keys, so a named selection always
-  // wins over a legacy bool when a config mixes both spellings. Resolve
-  // the names here so an unknown one aborts at parse time with the
-  // registered set in the message, not deep inside engine construction.
+  // Resolve the policy names here so an unknown one aborts at parse time
+  // with the registered set in the message, not deep inside engine
+  // construction.
   if (section.contains("placement_policy")) {
     opts.placement_policy = section.at("placement_policy").as_string();
     make_placement_policy(opts.placement_policy);
@@ -66,19 +73,6 @@ EngineOptions engine_from_json(const json::Value& section) {
   if (section.contains("host_cache_subgroups")) {
     opts.host_cache_subgroups =
         static_cast<u32>(section.at("host_cache_subgroups").as_int());
-  }
-  // Iteration execution mode, strict-validated at parse time like the
-  // policy names: an unknown mode aborts here with the known set.
-  if (section.contains("execution")) {
-    opts.execution = section.at("execution").as_string();
-    if (opts.execution != "linear" && opts.execution != "graph") {
-      throw std::invalid_argument("config: unknown execution mode '" +
-                                  opts.execution + "' (known: linear graph)");
-    }
-  }
-  if (section.contains("graph_workers")) {
-    opts.graph_workers =
-        static_cast<u32>(section.at("graph_workers").as_int());
   }
   return opts;
 }

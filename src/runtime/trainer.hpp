@@ -124,10 +124,8 @@ class Trainer {
 ///       "update_order_policy": "alternating_cache_friendly",
 ///       "multipath": true,
 ///       "delayed_grad_conversion": true, "tier_exclusive_locking": true,
-///       "prefetch_ahead": 1,
-///       // legacy boolean spellings, still honoured:
-///       "cache_friendly_order": true,   // order policy alternating/ascending
-///       "adaptive_placement": true      // placement adaptive_ema/eq1_static
+///       "prefetch_ahead": 1, "host_cache_subgroups": 3
+///       // any other key aborts with the known set
 ///     }
 ///   }
 TrainerConfig trainer_config_from_json(const json::Value& doc);

@@ -88,11 +88,13 @@ struct IterationReport {
   u64 io_coalesced_batches = 0;  ///< small-transfer batches merged
   u64 io_max_queue_depth = 0;    ///< channel-queue high-water mark so far
 
-  // Graph-execution counters (zero under the linear pipeline). Set by the
-  // engines from GraphExecutor::Stats when execution == "graph".
-  u64 graph_frontier_high_water = 0;  ///< widest ready frontier seen
-  u64 graph_tasks_stolen = 0;         ///< cross-deque pool steals
-  f64 graph_executor_idle_seconds = 0;  ///< real secs pool workers parked
+  // Always zero: the task-graph executor that set these is gone. Kept only
+  // because the repo benchmark (benchmark/src/workloads.cpp) still reads
+  // them; remove them together with that reader in the next change to the
+  // benchmark.
+  u64 graph_frontier_high_water = 0;
+  u64 graph_tasks_stolen = 0;
+  f64 graph_executor_idle_seconds = 0;
 
   // Staging-pool counters (delta of BufferPool::Stats over the update
   // phase). pool_heap_fallbacks is the alloc-churn metric the smoke gate

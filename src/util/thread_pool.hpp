@@ -1,4 +1,5 @@
-// Fixed-size worker pool used for CPU update kernels and async I/O engines.
+// Fixed-size worker pool behind the CPU update kernels (Adam, FP16 upscale,
+// gradient accumulation).
 //
 // Two entry points:
 //   * submit()       — enqueue an arbitrary task, get a std::future.
@@ -18,7 +19,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -49,26 +49,6 @@ class ThreadPool {
     {
       MutexLock lock(mutex_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  /// Non-throwing submit: returns nullopt instead of throwing when the
-  /// pool is already stopping. For shutdown paths that legitimately race
-  /// the destructor (e.g. a graph executor unwinding a cancelled graph
-  /// while its pool is being torn down) — the caller must be prepared to
-  /// run the task inline or drop it when nullopt comes back.
-  template <typename F>
-  auto try_submit(F&& fn)
-      -> std::optional<std::future<std::invoke_result_t<F>>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      MutexLock lock(mutex_);
-      if (stopping_) return std::nullopt;
       queue_.emplace_back([task] { (*task)(); });
     }
     cv_.notify_one();

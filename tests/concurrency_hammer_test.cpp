@@ -1,6 +1,5 @@
 // Concurrency hammer suites: many-thread stress of the primitives whose
-// single-thread unit tests cannot surface ordering bugs — MpmcQueue's
-// notify-after-unlock discipline under a close() race, ThreadPool's
+// single-thread unit tests cannot surface ordering bugs — ThreadPool's
 // drain-then-exit shutdown contract, BufferPool under contention, and the
 // TierStats no-concurrent-transfers contract (TransferScope). These tests
 // are the designated prey for the TSan preset: every suite here runs
@@ -21,99 +20,11 @@
 #include "tiers/memory_tier.hpp"
 #include "tiers/storage_tier.hpp"
 #include "util/aligned_buffer.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/sim_clock.hpp"
 #include "util/thread_pool.hpp"
-#include "util/work_stealing_pool.hpp"
 
 namespace mlpo {
 namespace {
-
-// Modest sizes on purpose: the suite also runs under TSan's ~5-15x
-// slowdown on single-core CI runners, and a hammer that needs minutes to
-// finish gets skipped or timed out rather than run.
-constexpr int kProducers = 4;
-constexpr int kConsumers = 4;
-constexpr int kItemsPerProducer = 2000;
-
-TEST(MpmcQueueHammer, AllAcceptedItemsArePopped) {
-  MpmcQueue<int> queue(8);
-  std::atomic<u64> accepted{0};
-  std::atomic<u64> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&queue, &accepted] {
-      for (int i = 0; i < kItemsPerProducer; ++i) {
-        if (queue.push(i)) accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&queue, &popped] {
-      while (queue.pop().has_value()) {
-        popped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Join producers (the first kProducers threads), then close: consumers
-  // drain the remainder and exit on nullopt.
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  queue.close();
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  EXPECT_EQ(accepted.load(), u64{kProducers} * kItemsPerProducer);
-  EXPECT_EQ(popped.load(), accepted.load());
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(MpmcQueueHammer, CloseRacingProducersAndConsumersLosesNothing) {
-  // close() fires mid-stream from its own thread. The contract under race:
-  // every push that returned true is eventually popped, every push after
-  // close returns false, and nobody deadlocks. Repeat the race a few times
-  // since the interesting interleaving (close between a producer's
-  // predicate check and its wait) is rare per run.
-  for (int round = 0; round < 10; ++round) {
-    MpmcQueue<int> queue(4);
-    std::atomic<u64> accepted{0};
-    std::atomic<u64> popped{0};
-    std::atomic<bool> producers_done{false};
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&queue, &accepted] {
-        for (int i = 0; i < 500; ++i) {
-          if (!queue.push(i)) return;  // closed under us — expected
-          accepted.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&queue, &popped] {
-        while (queue.pop().has_value()) {
-          popped.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    std::thread closer([&queue, &producers_done] {
-      // Let some traffic through first so the queue is warm when the close
-      // lands; yielding instead of sleeping keeps the test fast under TSan.
-      for (int spin = 0; spin < 50; ++spin) std::this_thread::yield();
-      (void)producers_done.load();
-      queue.close();
-    });
-
-    closer.join();
-    for (auto& t : threads) t.join();
-
-    // pop() drains what close() left behind before returning nullopt, so
-    // nothing accepted may be lost.
-    EXPECT_EQ(popped.load(), accepted.load()) << "round " << round;
-    EXPECT_EQ(queue.size(), 0u);
-    EXPECT_TRUE(queue.closed());
-  }
-}
 
 TEST(ThreadPoolHammer, EverySuccessfulSubmitRedeemsItsFuture) {
   // Shutdown contract: a submit() that did not throw must produce a future
@@ -163,124 +74,6 @@ TEST(ThreadPoolHammer, EverySuccessfulSubmitRedeemsItsFuture) {
     EXPECT_EQ(redeemed, submitted.load()) << "round " << round;
     EXPECT_EQ(executed.load(), submitted.load()) << "round " << round;
   }
-}
-
-TEST(ThreadPoolHammer, TrySubmitNeverThrowsAndEveryFutureRedeems) {
-  // try_submit's contract under the same destructor race: it must never
-  // throw — rejection is nullopt — and every future it DID hand out must
-  // redeem (the task was accepted before stop, so the drain covers it).
-  for (int round = 0; round < 8; ++round) {
-    std::atomic<u64> executed{0};
-    std::atomic<u64> submitted{0};
-    std::atomic<bool> stop{false};
-    std::atomic<bool> saw_rejection{false};
-    std::vector<std::thread> submitters;
-    std::vector<std::future<void>> futures[4];
-
-    {
-      ThreadPool pool(3);
-      for (int s = 0; s < 4; ++s) {
-        submitters.emplace_back([&pool, &executed, &submitted, &stop,
-                                 &saw_rejection, &futs = futures[s]] {
-          while (!stop.load(std::memory_order_acquire)) {
-            auto fut = pool.try_submit([&executed] {
-              executed.fetch_add(1, std::memory_order_relaxed);
-            });
-            if (!fut.has_value()) {
-              saw_rejection.store(true, std::memory_order_relaxed);
-              return;  // pool is stopping — the documented outcome
-            }
-            futs.push_back(std::move(*fut));
-            submitted.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      }
-      while (executed.load(std::memory_order_relaxed) < 64) {
-        std::this_thread::yield();
-      }
-      stop.store(true, std::memory_order_release);
-      for (auto& t : submitters) t.join();
-    }  // ~ThreadPool races the submitters above in earlier iterations
-
-    u64 redeemed = 0;
-    for (auto& futs : futures) {
-      for (auto& f : futs) {
-        f.get();
-        ++redeemed;
-      }
-    }
-    EXPECT_EQ(redeemed, submitted.load()) << "round " << round;
-    EXPECT_EQ(executed.load(), submitted.load()) << "round " << round;
-  }
-}
-
-TEST(WorkStealingPoolHammer, DrainsEverythingAcceptedUnderSubmitStorm) {
-  // Same shutdown contract as ThreadPool, plus the steal path: multiple
-  // submitters race each other (round-robin across worker deques) and the
-  // destructor; every accepted task must execute and every future redeem.
-  for (int round = 0; round < 8; ++round) {
-    std::atomic<u64> executed{0};
-    std::atomic<u64> submitted{0};
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> submitters;
-    std::vector<std::future<void>> futures[4];
-
-    {
-      WorkStealingPool pool(3);
-      for (int s = 0; s < 4; ++s) {
-        submitters.emplace_back([&pool, &executed, &submitted, &stop,
-                                 &futs = futures[s]] {
-          while (!stop.load(std::memory_order_acquire)) {
-            auto fut = pool.try_submit([&executed] {
-              executed.fetch_add(1, std::memory_order_relaxed);
-            });
-            if (!fut.has_value()) return;  // stopping
-            futs.push_back(std::move(*fut));
-            submitted.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      }
-      while (executed.load(std::memory_order_relaxed) < 64) {
-        std::this_thread::yield();
-      }
-      stop.store(true, std::memory_order_release);
-      for (auto& t : submitters) t.join();
-    }  // ~WorkStealingPool: drain-then-exit
-
-    u64 redeemed = 0;
-    for (auto& futs : futures) {
-      for (auto& f : futs) {
-        f.get();
-        ++redeemed;
-      }
-    }
-    EXPECT_EQ(redeemed, submitted.load()) << "round " << round;
-    EXPECT_EQ(executed.load(), submitted.load()) << "round " << round;
-  }
-}
-
-TEST(WorkStealingPoolHammer, WorkerLocalSubmissionLandsOnOwnDeque) {
-  // Tasks submitted FROM a pool worker push to that worker's own deque
-  // (the locality fast path). Recursive fan-out from inside tasks must
-  // complete without deadlock and preserve the drain guarantee.
-  // No blocking inside tasks (a worker waiting on a future it must itself
-  // drain would deadlock); the main thread waits on the counter instead,
-  // while the pool is alive, so no nested submit can race the stop flag.
-  std::atomic<int> leaf_count{0};
-  WorkStealingPool pool(3);
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&pool, &leaf_count] {
-      for (int j = 0; j < 8; ++j) {
-        pool.submit([&leaf_count] {
-          leaf_count.fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-    });
-  }
-  while (leaf_count.load(std::memory_order_acquire) < 16 * 8) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(leaf_count.load(), 16 * 8);
 }
 
 TEST(BufferPoolHammer, LeasesNeverOversubscribe) {

@@ -181,42 +181,36 @@ TEST(Equivalence, GoldenDigestsPinned) {
             0x1768F227F29FA56Full);
 }
 
-// --- Graph-vs-linear execution parity ---------------------------------------
+// --- Pipeline parity across both offloading engines -------------------------
 //
-// The task-graph executor reorders and overlaps the same per-subgroup work
-// the linear pipeline serializes; the training state must not notice.
-// Sweep: both offloading engines x several placement/ordering combos, plus
-// the elastic layout variant, each compared against the shared baseline
-// digest (graph == linear == baseline, transitively).
+// Both offloading engines run the one update pipeline (the paper's Alg. 1
+// loop); whatever placement and ordering steer it, the training state must
+// not notice. Sweep: both engines x several placement/ordering combos, each
+// compared against the shared baseline digest, plus an uneven elastic
+// split whose per-rank digests must sum to the single-rank digest.
 
-class GraphLinearParity
+class PipelineParity
     : public ::testing::TestWithParam<
           std::tuple<std::string, std::string, std::string>> {};
 
-TEST_P(GraphLinearParity, GraphExecutionBitIdenticalToLinear) {
+TEST_P(PipelineParity, BitIdenticalToBaseline) {
   const auto& [engine_kind, placement, order] = GetParam();
   EngineOptions opts;
   opts.engine = engine_kind;
   opts.placement_policy = placement;
   opts.update_order_policy = order;
-  opts.execution = "graph";
-  opts.graph_workers = 4;
-  const u64 graph_digest = run_opts(opts);
-  opts.execution = "linear";
-  const u64 linear_digest = run_opts(opts);
-  EXPECT_EQ(graph_digest, linear_digest)
+  EXPECT_EQ(run_opts(opts), baseline_digest())
       << "engine=" << engine_kind << " placement=" << placement
       << " order=" << order;
-  EXPECT_EQ(graph_digest, baseline_digest());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EnginesTimesPolicies, GraphLinearParity,
+    EnginesTimesPolicies, PipelineParity,
     ::testing::Combine(
         ::testing::Values("offload", "tensor_nvme"),
         ::testing::Values("adaptive_ema", "eq1_static", "round_robin"),
-        // ascending also exercises the eager-flush (no host cache) graph
-        // path; the other two take the lazy flush-through-cache path.
+        // ascending exercises the eager-flush (no host cache) path; the
+        // other two take the lazy flush-through-cache path.
         ::testing::Values("ascending", "alternating_cache_friendly",
                           "host_resident_first")),
     [](const auto& info) {
@@ -224,28 +218,27 @@ INSTANTIATE_TEST_SUITE_P(
              std::get<2>(info.param);
     });
 
-TEST(GraphLinearParityElastic, ElasticLayoutShardsSumToSameDigest) {
+TEST(PipelineParityElastic, UnevenShardsSumToSingleRankDigest) {
   // Elastic layouts change subgroup->rank ownership but not subgroup
   // identity; the commutative whole-model digest (summed over ranks) must
-  // match between executions. World of 2 over 5 global subgroups: rank 0
+  // match the single-rank run. World of 2 over 5 global subgroups: rank 0
   // takes 3, rank 1 takes 2 — an uneven split on purpose.
   constexpr u32 kWorld = 2;
   const u64 total_params = kSubgroupParams * 5;
   for (const std::string engine_kind : {"offload", "tensor_nvme"}) {
-    u64 graph_sum = 0;
-    u64 linear_sum = 0;
+    EngineOptions opts;
+    opts.engine = engine_kind;
+    u64 sharded_sum = 0;
     for (u32 rank = 0; rank < kWorld; ++rank) {
-      const ShardLayout layout = make_elastic_shard_layout(
-          total_params, kWorld, static_cast<int>(rank), kSubgroupParams);
-      EngineOptions opts;
-      opts.engine = engine_kind;
-      opts.execution = "graph";
-      opts.graph_workers = 4;
-      graph_sum += run_opts(opts, 1, layout);
-      opts.execution = "linear";
-      linear_sum += run_opts(opts, 1, layout);
+      sharded_sum += run_opts(
+          opts, 1,
+          make_elastic_shard_layout(total_params, kWorld,
+                                    static_cast<int>(rank), kSubgroupParams));
     }
-    EXPECT_EQ(graph_sum, linear_sum) << "engine=" << engine_kind;
+    const u64 single = run_opts(
+        opts, 1,
+        make_elastic_shard_layout(total_params, 1, 0, kSubgroupParams));
+    EXPECT_EQ(sharded_sum, single) << "engine=" << engine_kind;
   }
 }
 

@@ -95,7 +95,7 @@ TEST(IterationReport, AverageAcrossIterations) {
   EXPECT_THROW(average_reports({}), std::invalid_argument);
 }
 
-TEST(IterationReport, GraphExecutorCountersFoldWithTheRightSemantics) {
+TEST(IterationReport, GraphCountersFoldWithTheRightSemantics) {
   // accumulate_counters: the frontier is a high-water mark (max-merge),
   // steals and idle time are totals (additive). average_reports keeps the
   // max for the high-water mark and divides the additive ones by n.

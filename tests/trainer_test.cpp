@@ -79,21 +79,71 @@ TEST(TrainerConfigJson, DisabledSelectsBaselinePreset) {
   EXPECT_FALSE(cfg.engine.tier_exclusive_locking);
 }
 
-TEST(TrainerConfigJson, AblationOverridesOnBaseline) {
-  // Legacy boolean spelling maps onto the order-policy selection.
-  const auto cfg = trainer_config_from_json(std::string(
-      R"({"mlp_offload": {"enabled": false, "cache_friendly_order": true}})"));
-  EXPECT_EQ(cfg.engine.update_order_policy, "alternating_cache_friendly");
-  EXPECT_FALSE(cfg.engine.multipath);
+// Expect `json` to be rejected with an error naming `bad_key` and listing
+// the known mlp_offload keys.
+void expect_unknown_key_rejected(const std::string& json,
+                                 const std::string& bad_key) {
+  try {
+    trainer_config_from_json(json);
+    FAIL() << "expected invalid_argument for key " << bad_key;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + bad_key + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find("prefetch_ahead"), std::string::npos)
+        << "error must list the known keys: " << what;
+  }
 }
 
-TEST(TrainerConfigJson, AdaptivePlacementToggle) {
+TEST(TrainerConfigJson, LegacyCacheFriendlyOrderIsRejected) {
+  // The legacy boolean spelling is gone; update_order_policy names the
+  // schedule instead.
+  expect_unknown_key_rejected(
+      R"({"mlp_offload": {"enabled": false, "cache_friendly_order": true}})",
+      "cache_friendly_order");
+}
+
+TEST(TrainerConfigJson, LegacyAdaptivePlacementIsRejected) {
   EXPECT_EQ(trainer_config_from_json(std::string("{}"))
                 .engine.placement_policy,
             "adaptive_ema");
-  const auto cfg = trainer_config_from_json(std::string(
-      R"({"mlp_offload": {"adaptive_placement": false}})"));
-  EXPECT_EQ(cfg.engine.placement_policy, "eq1_static");
+  expect_unknown_key_rejected(
+      R"({"mlp_offload": {"adaptive_placement": false}})",
+      "adaptive_placement");
+}
+
+TEST(TrainerConfigJson, UnknownMlpOffloadKeysAreRejected) {
+  // The removed execution-mode keys must not silently run the pipeline,
+  // and a typo must not silently keep the default.
+  expect_unknown_key_rejected(R"({"mlp_offload": {"execution": "graph"}})",
+                              "execution");
+  expect_unknown_key_rejected(R"({"mlp_offload": {"graph_workers": 4}})",
+                              "graph_workers");
+  expect_unknown_key_rejected(R"({"mlp_offload": {"prefetch_ahaed": 2}})",
+                              "prefetch_ahaed");
+}
+
+TEST(TrainerConfigJson, ReadmeJsonBlockParses) {
+  // The "mlp_offload" block from README.md's "Presets and config JSON"
+  // section, key for key: every documented key must still parse.
+  const auto cfg = trainer_config_from_json(std::string(R"({
+    "mlp_offload": {
+      "preset": "mlp_offload",
+      "engine": "offload",
+      "placement_policy": "adaptive_ema",
+      "update_order_policy": "alternating_cache_friendly",
+      "multipath": true,
+      "delayed_grad_conversion": true,
+      "tier_exclusive_locking": true,
+      "prefetch_ahead": 1,
+      "host_cache_subgroups": 3
+    }
+  })"));
+  EXPECT_EQ(cfg.engine.engine, "offload");
+  EXPECT_EQ(cfg.engine.prefetch_ahead, 1u);
+  EXPECT_EQ(cfg.engine.host_cache_subgroups, 3u);
+  EXPECT_TRUE(trainer_config_from_json(
+                  std::string(R"({"mlp_offload": {"enabled": true}})"))
+                  .engine.multipath);
 }
 
 TEST(TrainerConfigJson, PolicyNamesSelectedDirectly) {
@@ -101,19 +151,6 @@ TEST(TrainerConfigJson, PolicyNamesSelectedDirectly) {
     "mlp_offload": {
       "placement_policy": "bandwidth_greedy",
       "update_order_policy": "host_resident_first"
-    }
-  })"));
-  EXPECT_EQ(cfg.engine.placement_policy, "bandwidth_greedy");
-  EXPECT_EQ(cfg.engine.update_order_policy, "host_resident_first");
-}
-
-TEST(TrainerConfigJson, ExplicitPolicyNamesBeatLegacyBools) {
-  const auto cfg = trainer_config_from_json(std::string(R"({
-    "mlp_offload": {
-      "placement_policy": "bandwidth_greedy",
-      "adaptive_placement": true,
-      "update_order_policy": "host_resident_first",
-      "cache_friendly_order": false
     }
   })"));
   EXPECT_EQ(cfg.engine.placement_policy, "bandwidth_greedy");
@@ -151,26 +188,6 @@ TEST(TrainerConfigJson, UnknownPolicyNamesAreLoud) {
   EXPECT_THROW(trainer_config_from_json(std::string(
                    R"({"mlp_offload": {"engine": "tensornvme"}})")),
                std::invalid_argument);
-}
-
-TEST(TrainerConfigJson, ExecutionModeKeysParsedAndValidated) {
-  EXPECT_EQ(trainer_config_from_json(std::string("{}")).engine.execution,
-            "linear");
-  const auto cfg = trainer_config_from_json(std::string(
-      R"({"mlp_offload": {"execution": "graph", "graph_workers": 6}})"));
-  EXPECT_EQ(cfg.engine.execution, "graph");
-  EXPECT_EQ(cfg.engine.graph_workers, 6u);
-  EXPECT_EQ(cfg.engine.resolved_graph_workers(), 6u);
-  try {
-    trainer_config_from_json(std::string(
-        R"({"mlp_offload": {"execution": "quantum"}})"));
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("quantum"), std::string::npos) << what;
-    EXPECT_NE(what.find("linear"), std::string::npos)
-        << "error must list the known modes: " << what;
-  }
 }
 
 TEST(TrainerConfigJson, NoPfsForcesSinglePath) {
