@@ -2,10 +2,12 @@
 //
 // Every bench case regenerates one table or figure from the paper's
 // evaluation: same workload, same parameter sweep, same reported rows. The
-// substrate is the scaled-time emulation described in DESIGN.md, so the
-// reproduction targets are the *shapes* (who wins, by what factor, where
-// the crossovers sit), not the authors' absolute testbed numbers — each
-// case prints the paper's reference values alongside for comparison.
+// substrate is the scaled-time emulation described in README.md (its
+// introduction and "Architecture: engines, policies, and the unified I/O
+// path"), so the reproduction targets are the *shapes* (who wins, by what
+// factor, where the crossovers sit), not the authors' absolute testbed
+// numbers — each case prints the paper's reference values alongside for
+// comparison.
 //
 // Environment knobs (strictly validated; a malformed value aborts the run
 // with an error naming the variable instead of silently misconfiguring it):

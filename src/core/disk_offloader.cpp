@@ -1,8 +1,5 @@
 #include "core/disk_offloader.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace mlpo {
 
 std::future<void> DiskOffloader::async_write(const std::string& key,
@@ -33,22 +30,5 @@ std::future<void> DiskOffloader::async_read(const std::string& key,
 }
 
 void DiskOffloader::synchronize() { pending_.wait_all(); }
-
-std::vector<std::size_t> split_tensors_by_bandwidth(
-    const std::vector<DiskOffloader*>& offloaders, std::size_t tensor_count) {
-  if (offloaders.empty()) {
-    throw std::invalid_argument("split_tensors_by_bandwidth: no offloaders");
-  }
-  std::vector<f64> bandwidths;
-  bandwidths.reserve(offloaders.size());
-  for (const auto* off : offloaders) {
-    const auto& tier = const_cast<DiskOffloader*>(off)->tier();
-    bandwidths.push_back(
-        std::min(tier.read_bandwidth(), tier.write_bandwidth()));
-  }
-  const auto quotas =
-      eq1_subgroup_quotas(static_cast<u32>(tensor_count), bandwidths);
-  return interleaved_placement(quotas);
-}
 
 }  // namespace mlpo

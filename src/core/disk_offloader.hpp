@@ -6,17 +6,15 @@
 // offloaded."
 //
 // This adapter mirrors TensorNVMe's per-tensor async API (async_write /
-// async_read / synchronize) over one storage tier, and provides the Eq.-1
-// splitter that distributes a tensor set across several DiskOffloaders —
-// the exact integration recipe the paper describes.
+// async_read / synchronize) over one storage tier. TensorNvmeEngine holds
+// one per virtual-tier path and places subgroups on them through its
+// PlacementPolicy.
 #pragma once
 
 #include <future>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "policy/perf_model.hpp"
 #include "io/io_batch.hpp"
 #include "io/io_scheduler.hpp"
 #include "tiers/storage_tier.hpp"
@@ -59,12 +57,5 @@ class DiskOffloader {
   u32 tenant_ = 0;
   IoBatch pending_;
 };
-
-/// Split `tensor_sim_bytes.size()` tensors across `offloaders` proportional
-/// to each backing tier's min(read,write) bandwidth — Eq. 1 applied to the
-/// Colossal-AI integration. Returns tensor index -> offloader index, using
-/// the same interleaved spread as the subgroup placement.
-std::vector<std::size_t> split_tensors_by_bandwidth(
-    const std::vector<DiskOffloader*>& offloaders, std::size_t tensor_count);
 
 }  // namespace mlpo

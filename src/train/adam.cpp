@@ -3,15 +3,17 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/kernel_dispatch.hpp"
+
 namespace mlpo {
 
 namespace {
 
 // Shared inner loop; the f64 bias corrections are hoisted by the callers so
 // both paths use identical constants.
-inline void adam_span(const AdamConfig& cfg, f32* p, f32* m, f32* v,
-                      const f32* g, u64 begin, u64 end, f32 inv_bc1,
-                      f32 inv_bc2) {
+MLPO_KERNEL_CLONES void adam_span(const AdamConfig& cfg, f32* p, f32* m,
+                                  f32* v, const f32* g, u64 begin, u64 end,
+                                  f32 inv_bc1, f32 inv_bc2) {
   const f32 b1 = cfg.beta1;
   const f32 b2 = cfg.beta2;
   const f32 one_m_b1 = 1.0f - b1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/fp16.hpp"
+#include "util/kernel_dispatch.hpp"
 #include "util/splitmix64.hpp"
 
 namespace mlpo {
@@ -18,20 +19,18 @@ u64 stream_base(u64 seed, int rank, u32 subgroup_id, u64 iteration) {
                     (static_cast<u64>(subgroup_id) << 24) ^ iteration);
 }
 
-// Map each 64-bit hash to a small centred float (~N(0, 0.02) shaped, uniform
-// is fine for exercising the optimizer). The caller rounds the values to
-// FP16, so every generated gradient is exactly FP16-representable. h >> 11
-// has 53 bits, so the signed conversion is exact and avoids the unsigned
-// one's fix-up branch.
-void hash_chunk(u64 first, std::span<f32> out) {
+}  // namespace
+
+// h >> 11 has 53 bits, so the signed conversion is exact and avoids the
+// unsigned one's fix-up branch. Only the AVX-512 clone vectorises the hash
+// (64-bit multiply and int64 -> double convert).
+MLPO_KERNEL_CLONES void hash_to_floats(u64 first, std::span<f32> out) {
   for (std::size_t j = 0; j < out.size(); ++j) {
     const u64 h = splitmix64(first + j);
     const f64 unit = static_cast<f64>(static_cast<i64>(h >> 11)) * 0x1.0p-53;
     out[j] = static_cast<f32>((unit - 0.5) * 0.04);
   }
 }
-
-}  // namespace
 
 void GradSource::generate_fp16(int rank, u32 subgroup_id, u64 iteration,
                                std::span<u16> out) const {
@@ -40,7 +39,7 @@ void GradSource::generate_fp16(int rank, u32 subgroup_id, u64 iteration,
   for (std::size_t i = 0; i < out.size(); i += kChunk) {
     const std::size_t len = std::min(kChunk, out.size() - i);
     const std::span<f32> chunk(values, len);
-    hash_chunk(base + i, chunk);
+    hash_to_floats(base + i, chunk);
     fp32_to_fp16(chunk, out.subspan(i, len));
   }
 }
@@ -52,7 +51,7 @@ void GradSource::generate_fp32(int rank, u32 subgroup_id, u64 iteration,
   for (std::size_t i = 0; i < out.size(); i += kChunk) {
     const std::size_t len = std::min(kChunk, out.size() - i);
     const std::span<f32> chunk = out.subspan(i, len);
-    hash_chunk(base + i, chunk);
+    hash_to_floats(base + i, chunk);
     fp32_to_fp16(chunk, std::span<u16>(half, len));
     fp16_to_fp32(std::span<const u16>(half, len), chunk);
   }

@@ -1,6 +1,7 @@
 // Deterministic synthetic gradient generator — the stand-in for the real
-// backward pass (which this library does not compute; see DESIGN.md's
-// substitution table).
+// backward pass, which this library does not compute (README.md: the
+// scaled-time emulation in the introduction; "Host kernels" for how fast
+// the generator runs and how its bits are pinned).
 //
 // Properties the engines rely on:
 //   * deterministic in (rank, subgroup id, iteration, element index), so the
@@ -17,6 +18,12 @@
 #include "util/common.hpp"
 
 namespace mlpo {
+
+/// Element j of `out` gets splitmix64(first + j) mapped uniformly onto
+/// [-0.02, 0.02], small centred values fit for exercising the optimizer.
+/// GradSource rounds them to FP16; Subgroup::deterministic_param_init uses
+/// them as they are.
+void hash_to_floats(u64 first, std::span<f32> out);
 
 class GradSource {
  public:

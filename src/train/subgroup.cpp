@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "train/grad_source.hpp"
 #include "util/splitmix64.hpp"
 
 namespace mlpo {
@@ -100,11 +101,7 @@ void Subgroup::deterministic_param_init(int rank, u32 id,
                                         std::span<f32> params) {
   const u64 base = splitmix64(0xC0FFEEull ^ (static_cast<u64>(rank) << 40) ^
                               (static_cast<u64>(id) << 8));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const u64 h = splitmix64(base + i);
-    const f64 unit = static_cast<f64>(h >> 11) * 0x1.0p-53;
-    params[i] = static_cast<f32>((unit - 0.5) * 0.04);
-  }
+  hash_to_floats(base, params);
 }
 
 }  // namespace mlpo

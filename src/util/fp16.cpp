@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "util/kernel_dispatch.hpp"
+
 namespace mlpo {
 
 namespace {
@@ -82,7 +84,8 @@ inline u16 encode_bits(f32 value) {
 u16 Fp16::encode(f32 value) { return encode_bits(value); }
 f32 Fp16::decode(u16 bits) { return decode_bits(bits); }
 
-void fp32_to_fp16(std::span<const f32> src, std::span<u16> dst) {
+MLPO_KERNEL_CLONES void fp32_to_fp16(std::span<const f32> src,
+                                     std::span<u16> dst) {
   if (src.size() != dst.size()) {
     throw std::invalid_argument("fp32_to_fp16: size mismatch");
   }
@@ -90,7 +93,8 @@ void fp32_to_fp16(std::span<const f32> src, std::span<u16> dst) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = encode_bits(src[i]);
 }
 
-void fp16_to_fp32(std::span<const u16> src, std::span<f32> dst) {
+MLPO_KERNEL_CLONES void fp16_to_fp32(std::span<const u16> src,
+                                     std::span<f32> dst) {
   if (src.size() != dst.size()) {
     throw std::invalid_argument("fp16_to_fp32: size mismatch");
   }

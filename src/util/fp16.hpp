@@ -6,8 +6,9 @@
 // kernels (paper §3.2, "delayed in-place mixed-precision gradient
 // conversion"). We implement binary16 in software so the library has no
 // hardware half-float dependency. Both codecs are branch-free, so the bulk
-// kernels auto-vectorise on the baseline x86-64 ISA (SSE2); tests/fp16_test
-// checks them bit for bit against a scalar oracle over every input.
+// kernels auto-vectorise on the baseline x86-64 ISA (SSE2) and in their
+// AVX2/AVX-512 clones (util/kernel_dispatch.hpp); tests/fp16_test checks
+// them bit for bit against a scalar oracle over every input.
 #pragma once
 
 #include <cstring>

@@ -1,4 +1,4 @@
-// TensorNVMe-style DiskOffloader adapter + Eq.-1 tensor splitting.
+// TensorNVMe-style DiskOffloader adapter.
 #include <gtest/gtest.h>
 
 #include "core/disk_offloader.hpp"
@@ -52,29 +52,9 @@ TEST(DiskOffloader, ErrorsSurfaceOnSynchronize) {
   EXPECT_THROW(offloader.synchronize(), std::out_of_range);
 }
 
-TEST(DiskOffloader, SplitFollowsBandwidthRatio) {
-  // The paper's Colossal-AI recipe: one DiskOffloader per storage, tensors
-  // distributed by the performance model.
-  MemoryTier fast("nvme", 6e9, 6e9);
-  MemoryTier slow("pfs", 3e9, 3e9);
-  SimClock clock(1.0);
-  IoScheduler io(clock);
-  DiskOffloader off_fast(fast, io);
-  DiskOffloader off_slow(slow, io);
-
-  const auto placement =
-      split_tensors_by_bandwidth({&off_fast, &off_slow}, 90);
-  ASSERT_EQ(placement.size(), 90u);
-  u32 counts[2] = {0, 0};
-  for (const auto p : placement) ++counts[p];
-  EXPECT_EQ(counts[0], 60u);  // 2:1
-  EXPECT_EQ(counts[1], 30u);
-
-  EXPECT_THROW(split_tensors_by_bandwidth({}, 10), std::invalid_argument);
-}
-
 TEST(DiskOffloader, EndToEndVirtualTierRecipe) {
-  // Write tensors through the split, read them all back.
+  // One offloader per path of a two-path virtual tier: write every tensor
+  // through the path it is placed on, read them all back.
   MemoryTier fast("nvme", 6e9, 6e9);
   MemoryTier slow("pfs", 3e9, 3e9);
   SimClock clock(1.0);
@@ -84,7 +64,8 @@ TEST(DiskOffloader, EndToEndVirtualTierRecipe) {
   std::vector<DiskOffloader*> offs = {&off_fast, &off_slow};
 
   constexpr std::size_t kTensors = 12;
-  const auto placement = split_tensors_by_bandwidth(offs, kTensors);
+  const std::vector<std::size_t> placement = {0, 0, 1, 0, 0, 1,
+                                              0, 0, 1, 0, 0, 1};
   std::vector<std::vector<f32>> tensors(kTensors);
   for (std::size_t i = 0; i < kTensors; ++i) {
     tensors[i].assign(32, static_cast<f32>(i));

@@ -30,6 +30,16 @@ Checked invariants:
      and at least one smoke bench case carries the "tenancy" label (so
      the fair-share sweep and its starvation assertion ride the smoke
      gate).
+  7. The ISA-dispatch macro MLPO_KERNEL_CLONES is defined only in
+     src/util/kernel_dispatch.hpp, only .cpp files under src/ use it, and
+     every such file is listed in a set_source_files_properties() block
+     with -ffp-contract=off in src/CMakeLists.txt. The AVX2/AVX-512 clones
+     have FMA, and GCC contracts a*b+c into one by default: with
+     contraction allowed, the AVX-512 clone of Adam rounded once where the
+     baseline rounds twice, and Adam.GoldenDigestPinned read
+     0x945ADD822FA0E79A instead of 0x8DF84728196E0BCD (equivalence_test's
+     engine digests broke too). A kernel moved to a new file without the
+     flag would pass on a CPU without FMA and break on one with it.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -254,6 +264,62 @@ def check_storage_backend_coverage() -> None:
             )
 
 
+DISPATCH_HEADER = "util/kernel_dispatch.hpp"
+DISPATCH_MACRO_RE = re.compile(r"\bMLPO_KERNEL_CLONES\b")
+
+
+def check_kernel_dispatch() -> None:
+    src = REPO / "src"
+    for root in ("src", "tests", "bench", "examples", "benchmark"):
+        for path in sorted((REPO / root).rglob("*")):
+            if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+                continue
+            text = path.read_text()
+            rel = path.relative_to(REPO).as_posix()
+            if (re.search(r"#\s*define\s+MLPO_KERNEL_CLONES\b", text)
+                    and rel != f"src/{DISPATCH_HEADER}"):
+                fail(
+                    f"{rel} defines MLPO_KERNEL_CLONES — the dispatch macro "
+                    f"has one definition, in src/{DISPATCH_HEADER}"
+                )
+
+    cmake = src / "CMakeLists.txt"
+    no_contract: set[str] = set()
+    for m in re.finditer(r"set_source_files_properties\(([^)]*)\)",
+                         cmake.read_text()):
+        block = m.group(1)
+        if "-ffp-contract=off" in block and "PROPERTIES" in block:
+            no_contract |= set(block[: block.find("PROPERTIES")].split())
+
+    users = 0
+    for path in sorted(src.rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+            continue
+        rel = path.relative_to(src).as_posix()
+        if rel == DISPATCH_HEADER or not DISPATCH_MACRO_RE.search(
+                path.read_text()):
+            continue
+        users += 1
+        if path.suffix != ".cpp":
+            fail(
+                f"src/{rel} uses MLPO_KERNEL_CLONES in a header — its "
+                f"clones would compile in every includer, whose flags "
+                f"src/CMakeLists.txt does not control; keep cloned kernels "
+                f"in .cpp files"
+            )
+        elif rel not in no_contract:
+            fail(
+                f"src/{rel} uses MLPO_KERNEL_CLONES but src/CMakeLists.txt "
+                f"does not compile it with -ffp-contract=off — its FMA "
+                f"clones may fuse a*b+c and change the golden digests"
+            )
+    if users == 0:
+        fail(
+            "no src/ file uses MLPO_KERNEL_CLONES — either the kernels "
+            "moved or the check regressed"
+        )
+
+
 def check_register_all(cases: dict[str, dict]) -> None:
     reg = REPO / "bench" / "harness" / "register_all.cpp"
     if not reg.exists():
@@ -282,6 +348,7 @@ def main() -> int:
     check_header_includers()
     check_tenancy_suites(cases)
     check_storage_backend_coverage()
+    check_kernel_dispatch()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
