@@ -42,7 +42,7 @@ RunResult run_one(bool adaptive, f64 time_scale) {
 
   IoScheduler::Config io_cfg;
   io_cfg.queue_depth = 128;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, io_cfg);
+  IoScheduler io(clock, &vtier, io_cfg);
   const GradSource grads;
   EngineContext ctx;
   ctx.clock = &clock;

@@ -49,7 +49,7 @@ SweepResult run_one(const EngineOptions& base, f64 time_scale) {
   IoScheduler::Config io_cfg;
   io_cfg.queue_depth = 128;
   io_cfg.tier_exclusive_locking = base.tier_exclusive_locking;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, io_cfg);
+  IoScheduler io(clock, &vtier, io_cfg);
   const GradSource grads;
 
   EngineOptions opts = base;

@@ -32,7 +32,7 @@ f64 run_with_paths(u32 num_paths, f64 time_scale, std::vector<u32>* quotas) {
 
   IoScheduler::Config io_cfg;
   io_cfg.queue_depth = 128;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, io_cfg);
+  IoScheduler io(clock, &vtier, io_cfg);
   const GradSource grads;
   EngineContext ctx;
   ctx.clock = &clock;

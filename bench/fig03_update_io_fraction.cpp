@@ -35,11 +35,14 @@ std::vector<telemetry::Metric> run(BenchContext& ctx) {
   {
     const SimClock clock(env_time_scale());
     const GradSource grads;
-    CpuOnlyEngine::Options opts;
+    EngineContext engine_ctx;
+    engine_ctx.clock = &clock;
+    engine_ctx.grads = &grads;
+    EngineOptions opts;
     opts.cpu_update_rate = TestbedSpec::testbed1().cpu_update_rate_node;
     const auto model = baseline_20b();
     opts.elem_scale = elem_scale_for(model.parameters());
-    CpuOnlyEngine engine(clock, grads, make_shard_layout(model, 1, 0), opts);
+    CpuOnlyEngine engine(engine_ctx, opts, make_shard_layout(model, 1, 0));
     engine.initialize();
     engine.deposit_gradients(0, true);
     const auto report = engine.run_update(0);

@@ -89,7 +89,7 @@ BackendResult run_backend(const std::string& kind, const fs::path& root) {
 
   IoScheduler::Config io_cfg;
   io_cfg.queue_depth = 128;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, io_cfg);
+  IoScheduler io(clock, &vtier, io_cfg);
   const GradSource grads;
 
   EngineOptions opts = EngineOptions::mlp_offload();

@@ -62,7 +62,7 @@ WaitProfile run_discipline(bool strict_fifo, f64 time_scale) {
   IoScheduler::Config cfg;
   cfg.queue_depth = 128;  // deep enough that flush bursts never block submit
   cfg.strict_fifo = strict_fifo;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   WaitProfile profile;
   Mutex mu;
@@ -192,7 +192,7 @@ f64 run_frontier(bool windowed, f64 time_scale) {
 
   IoScheduler::Config cfg;
   cfg.queue_depth = 128;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::vector<std::vector<u8>> staging(kFrontierReads,
                                        std::vector<u8>(4 * KiB));

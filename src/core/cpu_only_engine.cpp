@@ -4,30 +4,17 @@
 #include <stdexcept>
 
 #include "io/io_scheduler.hpp"
-#include <string>
 
 namespace mlpo {
 
-void CpuOnlyEngine::Options::validate() const {
-  if (cpu_update_rate <= 0) {
-    throw std::invalid_argument(
-        "CpuOnlyEngine: cpu_update_rate=" + std::to_string(cpu_update_rate) +
-        " must be > 0 (simulated params per vsecond)");
+CpuOnlyEngine::CpuOnlyEngine(const EngineContext& ctx,
+                             const EngineOptions& opts,
+                             const ShardLayout& layout)
+    : ctx_(ctx), opts_(opts), layout_(layout) {
+  opts_.validate_common();
+  if (ctx_.clock == nullptr || ctx_.grads == nullptr) {
+    throw std::invalid_argument("CpuOnlyEngine: clock and grads are required");
   }
-  if (elem_scale == 0) {
-    throw std::invalid_argument(
-        "CpuOnlyEngine: elem_scale must be >= 1 (simulated params per real "
-        "element)");
-  }
-}
-
-CpuOnlyEngine::CpuOnlyEngine(const SimClock& clock, const GradSource& grads,
-                             const ShardLayout& layout, const Options& opts,
-                             ThreadPool* cpu_pool, RateLimiter* d2h,
-                             IoScheduler* io, u32 tenant)
-    : clock_(&clock), grads_(&grads), layout_(layout), opts_(opts),
-      cpu_pool_(cpu_pool), d2h_(d2h), io_(io), tenant_(tenant) {
-  opts_.validate();
   std::vector<u64> accum_elems;
   for (std::size_t i = 0; i < layout_.subgroup_sizes.size(); ++i) {
     // Subgroup identity is the layout's global id (== the local index for
@@ -65,25 +52,23 @@ void CpuOnlyEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
   Subgroup& sg = *subgroups_.at(subgroup_id);
   // The FP16 gradient stream still crosses PCIe even though the optimizer
   // state never leaves the host — charge it like the offloading engines
-  // do, through whichever conduit this engine was wired with.
-  if (d2h_ != nullptr) {
-    d2h_->acquire(sg.sim_params() * kFp16Bytes);
-  } else if (io_ != nullptr) {
+  // do, through the scheduler's D2H link.
+  if (ctx_.io != nullptr) {
     IoRequest req = IoRequest::link_transfer(
         IoTarget::kD2HLink, Subgroup::key(layout_.rank, sg.id()),
         sg.sim_params() * kFp16Bytes, IoPriority::kGradDeposit);
-    req.tenant = tenant_;
-    io_->submit(std::move(req)).get();
+    req.tenant = ctx_.tenant;
+    ctx_.io->submit(std::move(req)).get();
   }
   // Deposits are synchronous on the caller thread, so the reserved-once
   // member scratch is race-free (and allocation-free after the first use).
   grad_scratch_.resize(sg.real_elems());
-  grads_->generate_fp16(layout_.content_rank(), sg.id(), sample_index,
-                        grad_scratch_);
+  ctx_.grads->generate_fp16(layout_.content_rank(), sg.id(), sample_index,
+                            grad_scratch_);
   if (first_micro_step) {
     accum_->store(subgroup_id, grad_scratch_);
   } else {
-    accum_->accumulate(subgroup_id, grad_scratch_, cpu_pool_);
+    accum_->accumulate(subgroup_id, grad_scratch_, ctx_.cpu_pool);
   }
 }
 
@@ -98,25 +83,25 @@ IterationReport CpuOnlyEngine::run_update(u64 iteration) {
   if (!initialized_) {
     throw std::logic_error("CpuOnlyEngine: run_update before initialize");
   }
-  const f64 start = clock_->now();
+  const f64 start = ctx_.clock->now();
   IterationReport report;
   report.iteration = iteration;
 
   std::vector<f32>& grads_fp32 = fp32_scratch_;
   for (u32 id = 0; id < subgroups_.size(); ++id) {
     Subgroup& sg = *subgroups_[id];
-    SimTimer kernel_timer(*clock_);
+    SimTimer kernel_timer(*ctx_.clock);
     grads_fp32.resize(sg.real_elems());
-    accum_->upscale_into(id, grads_fp32, cpu_pool_);
-    clock_->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
+    accum_->upscale_into(id, grads_fp32, ctx_.cpu_pool);
+    ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
 
     sg.set_step(sg.step() + 1);
     adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-                grads_fp32, sg.step(), cpu_pool_);
+                grads_fp32, sg.step(), ctx_.cpu_pool);
     const f64 budget =
         static_cast<f64>(sg.sim_params()) / opts_.cpu_update_rate;
     const f64 real = kernel_timer.elapsed();
-    if (budget > real) clock_->sleep_for(budget - real);
+    if (budget > real) ctx_.clock->sleep_for(budget - real);
 
     SubgroupTrace trace{};
     trace.subgroup_id = sg.id();
@@ -128,7 +113,7 @@ IterationReport CpuOnlyEngine::run_update(u64 iteration) {
   }
   report.params_updated = layout_.shard_params;
   report.host_cache_hits = report.subgroups_processed;
-  report.update_seconds = clock_->now() - start;
+  report.update_seconds = ctx_.clock->now() - start;
   return report;
 }
 

@@ -12,35 +12,20 @@
 
 #include "core/engine.hpp"
 #include "train/grad_accum.hpp"
-#include "util/rate_limiter.hpp"
 
 namespace mlpo {
 
 class CpuOnlyEngine final : public Engine {
  public:
-  struct Options {
-    f64 cpu_update_rate = 2000e6;  ///< simulated params per vsecond
-    ConvertCost convert;
-    AdamConfig adam;
-    u64 elem_scale = 1;
-
-    /// Strict construction-time validation, same contract as
-    /// EngineOptions::validate(). Throws std::invalid_argument naming the
-    /// bad field.
-    void validate() const;
-  };
-
-  /// @param d2h optional direct PCIe limiter for the gradient stream
-  /// @param io optional scheduler; when set (the make_engine path wires
-  ///        the worker's), gradient deposits charge its D2H link channel
-  ///        and checkpoints ride its queues — same accounting as the
-  ///        offloading engines. At most one of d2h/io should be given.
-  /// @param tenant id stamped on the engine's scheduler traffic (shared
-  ///        multi-job schedulers; 0 for an owned single-job scheduler)
-  CpuOnlyEngine(const SimClock& clock, const GradSource& grads,
-                const ShardLayout& layout, const Options& opts,
-                ThreadPool* cpu_pool = nullptr, RateLimiter* d2h = nullptr,
-                IoScheduler* io = nullptr, u32 tenant = 0);
+  /// Needs ctx.clock and ctx.grads. When ctx.io is set (the make_engine
+  /// path wires the worker's scheduler), gradient deposits charge its D2H
+  /// link channel and checkpoints ride its queues, with the same
+  /// accounting as the offloading engines; without it the gradient stream
+  /// is free. Of `opts` only the scalar fields apply (validate_common):
+  /// placement and ordering have nothing to act on when every subgroup is
+  /// host-resident.
+  CpuOnlyEngine(const EngineContext& ctx, const EngineOptions& opts,
+                const ShardLayout& layout);
 
   void initialize() override;
 
@@ -74,20 +59,15 @@ class CpuOnlyEngine final : public Engine {
   bool on_persistent_path(u32 /*id*/) const override { return false; }
   void restore_state(u32 id, std::span<const u8> serialized) override;
 
-  const SimClock& clock() const override { return *clock_; }
+  const SimClock& clock() const override { return *ctx_.clock; }
   int rank() const override { return layout_.rank; }
-  IoScheduler* io() const override { return io_; }
-  u32 tenant() const override { return tenant_; }
+  IoScheduler* io() const override { return ctx_.io; }
+  u32 tenant() const override { return ctx_.tenant; }
 
  private:
-  const SimClock* clock_;
-  const GradSource* grads_;
+  EngineContext ctx_;
+  EngineOptions opts_;
   ShardLayout layout_;
-  Options opts_;
-  ThreadPool* cpu_pool_;
-  RateLimiter* d2h_;
-  IoScheduler* io_;
-  u32 tenant_ = 0;
   std::vector<std::unique_ptr<Subgroup>> subgroups_;
   std::unique_ptr<GradAccumulator> accum_;
   /// Reserved-once scratch: deposits and updates are serial per engine, so

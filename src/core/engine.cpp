@@ -125,19 +125,7 @@ std::unique_ptr<Engine> make_engine(const EngineContext& ctx,
     return std::make_unique<OffloadEngine>(ctx, opts, layout);
   }
   if (opts.engine == "cpu_only") {
-    if (ctx.clock == nullptr || ctx.grads == nullptr) {
-      throw std::invalid_argument(
-          "make_engine: cpu_only needs clock and grads");
-    }
-    CpuOnlyEngine::Options cpu;
-    cpu.cpu_update_rate = opts.cpu_update_rate;
-    cpu.convert = opts.convert;
-    cpu.adam = opts.adam;
-    cpu.elem_scale = opts.elem_scale;
-    return std::make_unique<CpuOnlyEngine>(*ctx.clock, *ctx.grads, layout,
-                                           cpu, ctx.cpu_pool,
-                                           /*d2h=*/nullptr, ctx.io,
-                                           ctx.tenant);
+    return std::make_unique<CpuOnlyEngine>(ctx, opts, layout);
   }
   if (opts.engine == "tensor_nvme") {
     return std::make_unique<TensorNvmeEngine>(ctx, opts, layout);

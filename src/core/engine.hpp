@@ -96,8 +96,8 @@ struct EngineOptions {
   /// construction does not resolve each policy name twice.
   void validate_resolved(const UpdateOrderPolicy& order) const;
   /// Just the scalar checks (cpu_update_rate, elem_scale) — for engines
-  /// with no host cache or prefetch pipeline (tensor_nvme), where the
-  /// cache/prefetch invariants do not apply.
+  /// with no host cache or prefetch pipeline (cpu_only, tensor_nvme),
+  /// where the cache/prefetch invariants do not apply.
   void validate_common() const;
 
   /// Named preset bundles (the paper's ablation steps as policy bundles):
@@ -122,18 +122,16 @@ struct EngineOptions {
 /// referenced objects must outlive the engine.
 ///
 /// All tier and link traffic goes through the IoScheduler: engines never
-/// touch a TierLock or a RateLimiter. The scheduler must be configured
-/// with this worker's locking policy (see IoScheduler::Config::
-/// tier_exclusive_locking / worker_id — the Worker wires this from
-/// EngineOptions).
+/// touch a TierLock or a RateLimiter. Locking belongs to the scheduler,
+/// which the Worker configures with this worker's policy and lock key
+/// (IoScheduler::Config::tier_exclusive_locking and worker_id).
 struct EngineContext {
   const SimClock* clock = nullptr;
   VirtualTier* vtier = nullptr;    ///< third-level storage (node-shared)
   IoScheduler* io = nullptr;       ///< this worker's I/O request scheduler
   ThreadPool* cpu_pool = nullptr;  ///< update-kernel threads (may be null)
   const GradSource* grads = nullptr;
-  int worker_id = 0;  ///< node-local id (informational; locking lives in io)
-  int rank = 0;       ///< global rank, used for storage keys
+  int rank = 0;  ///< global rank, used for storage keys
   /// Tenant (job) id every IoRequest this engine submits is stamped with.
   /// On an owned, single-job scheduler this stays 0; a JobManager-borrowed
   /// engine carries its job's id so the shared scheduler's fair-share,
@@ -215,9 +213,9 @@ class Engine {
 
 /// Build the engine implementation selected by `opts.engine`. Each
 /// engine's constructor runs the strict option validation relevant to it
-/// (the offloading engines check the full EngineOptions contract;
-/// cpu_only checks only the fields it consumes — placement/ordering
-/// selections do not apply to a host-resident engine).
+/// (offload checks the full EngineOptions contract; cpu_only and
+/// tensor_nvme, which have no host cache or prefetch pipeline, run
+/// validate_common()).
 std::unique_ptr<Engine> make_engine(const EngineContext& ctx,
                                     const EngineOptions& opts,
                                     const ShardLayout& layout);

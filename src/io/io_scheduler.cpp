@@ -20,7 +20,7 @@ const char* io_priority_name(IoPriority priority) {
 }
 
 IoScheduler::IoScheduler(const SimClock& clock, VirtualTier* vtier,
-                         RateLimiter* d2h, RateLimiter* h2d, Config cfg)
+                         Config cfg)
     : clock_(&clock), vtier_(vtier), cfg_(std::move(cfg)) {
   if (cfg_.queue_depth == 0) {
     throw std::invalid_argument("IoScheduler: queue_depth must be > 0");
@@ -29,16 +29,9 @@ IoScheduler::IoScheduler(const SimClock& clock, VirtualTier* vtier,
     throw std::invalid_argument(
         "IoScheduler: fair_share_quantum_bytes must be > 0");
   }
-  if (cfg_.d2h_bandwidth > 0) {
-    if (d2h != nullptr || h2d != nullptr) {
-      throw std::invalid_argument(
-          "IoScheduler: Config::d2h_bandwidth asks for owned link limiters "
-          "but caller limiters were also provided");
-    }
-    owned_d2h_ = std::make_unique<RateLimiter>(clock, cfg_.d2h_bandwidth);
-    owned_h2d_ = std::make_unique<RateLimiter>(clock, cfg_.d2h_bandwidth);
-    d2h = owned_d2h_.get();
-    h2d = owned_h2d_.get();
+  if (cfg_.link_bandwidth > 0) {
+    d2h_ = std::make_unique<RateLimiter>(clock, cfg_.link_bandwidth);
+    h2d_ = std::make_unique<RateLimiter>(clock, cfg_.link_bandwidth);
   }
   tier_paths_ = vtier_ != nullptr ? vtier_->path_count() : 0;
   queues_.reserve(2 * tier_paths_ + 3);
@@ -50,23 +43,15 @@ IoScheduler::IoScheduler(const SimClock& clock, VirtualTier* vtier,
         IoChannel(*vtier_, p, IoOp::kWrite, cfg_.tier_exclusive_locking,
                   cfg_.worker_id)));
   }
-  queues_.push_back(std::make_unique<ChannelQueue>(IoChannel("d2h", d2h)));
-  queues_.push_back(std::make_unique<ChannelQueue>(IoChannel("h2d", h2d)));
+  queues_.push_back(
+      std::make_unique<ChannelQueue>(IoChannel("d2h", d2h_.get())));
+  queues_.push_back(
+      std::make_unique<ChannelQueue>(IoChannel("h2d", h2d_.get())));
   queues_.push_back(std::make_unique<ChannelQueue>(IoChannel("external")));
   for (auto& q : queues_) {
     q->worker = std::thread([this, queue = q.get()] { dispatch_loop(*queue); });
   }
 }
-
-IoScheduler::IoScheduler(const SimClock& clock, VirtualTier* vtier,
-                         RateLimiter* d2h, RateLimiter* h2d)
-    : IoScheduler(clock, vtier, d2h, h2d, Config{}) {}
-
-IoScheduler::IoScheduler(const SimClock& clock, Config cfg)
-    : IoScheduler(clock, nullptr, nullptr, nullptr, std::move(cfg)) {}
-
-IoScheduler::IoScheduler(const SimClock& clock)
-    : IoScheduler(clock, nullptr, nullptr, nullptr, Config{}) {}
 
 IoScheduler::~IoScheduler() {
   // Async-capable backends settle requests from their own completion
@@ -251,35 +236,19 @@ std::future<void> IoScheduler::submit(IoRequest req) {
   return fut;
 }
 
-std::size_t IoScheduler::cancel_all_queued() {
-  return cancel_queued_matching(nullptr, nullptr);
-}
-
-std::size_t IoScheduler::cancel_queued(IoPriority priority) {
-  return cancel_queued_matching(&priority, nullptr);
-}
-
-std::size_t IoScheduler::cancel_tenant_queued(u32 tenant) {
-  return cancel_queued_matching(nullptr, &tenant);
-}
-
-std::size_t IoScheduler::cancel_queued(IoPriority priority, u32 tenant) {
-  return cancel_queued_matching(&priority, &tenant);
-}
-
-std::size_t IoScheduler::cancel_queued_matching(const IoPriority* priority,
-                                                const u32* tenant) {
+std::size_t IoScheduler::cancel_queued(std::optional<IoPriority> priority,
+                                       std::optional<u32> tenant) {
   std::size_t flagged = 0;
   const auto sweep = [&](ChannelQueue& q) {
     MutexLock lk(q.mutex);
     for (auto& [tid, tq] : q.tenants) {
-      if (tenant != nullptr && tid != *tenant) continue;
+      if (tenant && tid != *tenant) continue;
       // All classes are swept (not just the matching class index): under
       // strict_fifo every priority shares class 0, so the filter must look
       // at the request itself.
       for (auto& cls : tq.classes) {
         for (auto& p : cls) {
-          if (priority != nullptr && p->req.priority != *priority) continue;
+          if (priority && p->req.priority != *priority) continue;
           if (p->req.token.cancelled()) continue;
           p->req.token.cancel();
           ++flagged;
@@ -472,20 +441,10 @@ void IoScheduler::run_batch(ChannelQueue& q,
       // A dead tenant's queued traffic fails at dispatch exactly as it
       // would against a fail-stopped device — without occupying the
       // channel, so the surviving tenants' requests behind it never stall.
-      const f64 queue_wait = std::max(0.0, item_start - p->enqueue_vtime);
-      {
-        MutexLock slk(stats_mutex_);
-        auto& s = stats_.priority[pri];
-        s.queue_wait_seconds += queue_wait;
-        ++s.failed;
-        auto& ts = tenant_stats_[tenant].priority[pri];
-        ts.queue_wait_seconds += queue_wait;
-        ++ts.failed;
-      }
-      settle(*p, std::make_exception_ptr(FailStopError(
-                     "IoScheduler: tenant " + std::to_string(tenant) +
-                     " fail-stopped while \"" + p->req.key + "\" queued")));
-      finish_one(tenant);
+      complete(*p, std::max(0.0, item_start - p->enqueue_vtime), 0, 0,
+               std::make_exception_ptr(FailStopError(
+                   "IoScheduler: tenant " + std::to_string(tenant) +
+                   " fail-stopped while \"" + p->req.key + "\" queued")));
       continue;
     }
     if (!lease) lease = std::make_shared<IoChannel::Lease>(q.channel.lease());
@@ -503,44 +462,13 @@ void IoScheduler::run_batch(ChannelQueue& q,
                                 !p->req.work && p->req.tier != nullptr &&
                                 p->req.tier->supports_async();
     if (tier_async || external_async) {
-      const f64 queue_wait_async =
-          std::max(0.0, item_start - p->enqueue_vtime);
+      const f64 queue_wait = std::max(0.0, item_start - p->enqueue_vtime);
       const f64 start = item_start;
       std::shared_ptr<Pending> pending(p.release());
-      auto on_done = [this, pending, lease, pri, tenant, queue_wait_async,
+      auto on_done = [this, pending, lease, queue_wait,
                       start](std::exception_ptr error) {
-        const f64 service = std::max(0.0, clock_->now() - start);
-        const u64 moved = effective_bytes(pending->req);
-        {
-          MutexLock slk(stats_mutex_);
-          const auto fold = [&](Stats& stats) {
-            auto& s = stats.priority[pri];
-            s.queue_wait_seconds += queue_wait_async;
-            s.service_seconds += service;
-            if (error) {
-              ++s.failed;
-            } else {
-              ++s.completed;
-              s.sim_bytes += moved;
-            }
-          };
-          fold(stats_);
-          fold(tenant_stats_[tenant]);
-        }
-        if (!error && pending->req.on_complete) {
-          IoResult result;
-          result.priority = pending->req.priority;
-          result.sim_bytes = moved;
-          result.queue_wait_seconds = queue_wait_async;
-          result.service_seconds = service;
-          try {
-            pending->req.on_complete(result);
-          } catch (...) {
-            error = std::current_exception();
-          }
-        }
-        settle(*pending, std::move(error));
-        finish_one(tenant);
+        complete(*pending, queue_wait, std::max(0.0, clock_->now() - start),
+                 effective_bytes(pending->req), std::move(error));
       };
       IoRequest& req = pending->req;
       if (tier_async) {
@@ -570,43 +498,46 @@ void IoScheduler::run_batch(ChannelQueue& q,
     } catch (...) {
       error = std::current_exception();
     }
-    const f64 service = std::max(0.0, clock_->now() - item_start);
-    {
-      // Failed requests still waited and occupied the channel; fold their
-      // times in so mean waits are not skewed low by error storms.
-      MutexLock slk(stats_mutex_);
-      const auto fold = [&](Stats& stats) {
-        auto& s = stats.priority[pri];
-        s.queue_wait_seconds += queue_wait;
-        s.service_seconds += service;
-        if (error) {
-          ++s.failed;
-        } else {
-          ++s.completed;
-          s.sim_bytes += moved;
-        }
-      };
-      fold(stats_);
-      fold(tenant_stats_[tenant]);
-    }
-    if (!error && p->req.on_complete) {
-      IoResult result;
-      result.priority = p->req.priority;
-      result.sim_bytes = moved;
-      result.queue_wait_seconds = queue_wait;
-      result.service_seconds = service;
-      // The transfer itself succeeded and stays counted as completed; a
-      // throwing hook only surfaces through the future.
-      try {
-        p->req.on_complete(result);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    settle(*p, std::move(error));
+    complete(*p, queue_wait, std::max(0.0, clock_->now() - item_start), moved,
+             std::move(error));
     item_start = clock_->now();
-    finish_one(tenant);
   }
+}
+
+void IoScheduler::complete(Pending& pending, f64 queue_wait, f64 service,
+                           u64 moved, std::exception_ptr error) {
+  const auto pri = static_cast<std::size_t>(pending.req.priority);
+  const u32 tenant = pending.req.tenant;
+  {
+    MutexLock slk(stats_mutex_);
+    const auto fold = [&](Stats& stats) {
+      auto& s = stats.priority[pri];
+      s.queue_wait_seconds += queue_wait;
+      s.service_seconds += service;
+      if (error) {
+        ++s.failed;
+      } else {
+        ++s.completed;
+        s.sim_bytes += moved;
+      }
+    };
+    fold(stats_);
+    fold(tenant_stats_[tenant]);
+  }
+  if (!error && pending.req.on_complete) {
+    IoResult result;
+    result.priority = pending.req.priority;
+    result.sim_bytes = moved;
+    result.queue_wait_seconds = queue_wait;
+    result.service_seconds = service;
+    try {
+      pending.req.on_complete(result);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+  settle(pending, std::move(error));
+  finish_one(tenant);
 }
 
 u64 IoScheduler::execute(IoRequest& req, IoChannel& channel) {

@@ -31,8 +31,8 @@
 //     submissions nor evade its own backpressure;
 //   * cancellation: a request whose token is cancelled while still queued
 //     is dropped at dispatch, its future failing with IoCancelled;
-//     cancel_tenant_queued() scopes the sweep to one tenant (the
-//     RecoveryDriver's path when tenants share a scheduler);
+//     cancel_queued() flags queued requests in bulk, optionally scoped to
+//     one priority class and/or one tenant;
 //   * tenant fail-stop: fail_tenant() (or an armed virtual-time deadline)
 //     latches a tenant dead — its queued requests and later submissions
 //     settle with FailStopError, mirroring a fail-stopped device, while
@@ -55,6 +55,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -92,11 +93,10 @@ class IoScheduler {
     /// Bytes of DRR credit per visit per unit weight. Larger quanta lower
     /// switching overhead; smaller quanta tighten short-term fairness.
     u64 fair_share_quantum_bytes = 1 << 20;
-    /// When > 0, the scheduler creates and owns its D2H/H2D link rate
-    /// limiters at this bandwidth (bytes per virtual second) and the
-    /// caller-provided limiter pointers must be null. 0 keeps the legacy
-    /// borrow-the-caller's-limiters wiring.
-    f64 d2h_bandwidth = 0;
+    /// Bandwidth of each PCIe link, D2H and H2D, in bytes per virtual
+    /// second. The scheduler owns one RateLimiter per link at this rate, so
+    /// the two directions never share a channel. 0 = instantaneous links.
+    f64 link_bandwidth = 0;
   };
 
   /// Cumulative counters; snapshot via stats(). Virtual-time seconds.
@@ -116,21 +116,16 @@ class IoScheduler {
     u64 max_queue_depth = 0;     ///< high-water mark across channels
   };
 
-  /// Full wiring: read+write channels per `vtier` path (vtier may be null
-  /// for link/external-only use), D2H/H2D link channels over the given
-  /// rate limiters (nullable = instantaneous; must be null when
-  /// Config::d2h_bandwidth asks for scheduler-owned limiters), plus
-  /// external channels — one per distinct foreign StorageTier (created on
-  /// first use, so two DiskOffloaders over different devices keep
-  /// overlapping) and a default channel for tier-less external work.
-  IoScheduler(const SimClock& clock, VirtualTier* vtier, RateLimiter* d2h,
-              RateLimiter* h2d, Config cfg);
-  IoScheduler(const SimClock& clock, VirtualTier* vtier, RateLimiter* d2h,
-              RateLimiter* h2d);
-
-  /// Link/external-only scheduler (no tier paths).
-  IoScheduler(const SimClock& clock, Config cfg);
-  explicit IoScheduler(const SimClock& clock);
+  /// Channels: read+write per `vtier` path (a null vtier leaves only the
+  /// link and external channels), the D2H and H2D links at
+  /// Config::link_bandwidth, and external channels — one per distinct
+  /// foreign StorageTier (created on first use, so two DiskOffloaders over
+  /// different devices keep overlapping) plus a default one for tier-less
+  /// external work. Throws std::invalid_argument for a zero queue_depth or
+  /// fair_share_quantum_bytes. (`cfg` has no default argument: C++ cannot
+  /// value-initialise a nested class with default member initialisers in
+  /// a default argument of its enclosing class; pass `{}` instead.)
+  IoScheduler(const SimClock& clock, VirtualTier* vtier, Config cfg);
 
   ~IoScheduler();
 
@@ -151,30 +146,20 @@ class IoScheduler {
   /// one job's teardown cannot livelock behind its neighbours' traffic.
   void drain_tenant(u32 tenant);
 
-  /// Cancel every request still queued (not yet dispatched) on every
-  /// channel by cancelling its token; each drops at dispatch, failing its
-  /// future with IoCancelled. In-flight requests are untouched (a
-  /// dispatched NVMe command cannot be recalled) and requests submitted
-  /// after the call are unaffected. Returns the number of requests newly
-  /// flagged. This is the RecoveryDriver's abandon-the-dead-node's-I/O
-  /// path: a fail-stopped node's queued traffic must not serially dispatch
-  /// and fail against a dead device.
-  std::size_t cancel_all_queued();
-
-  /// Same, restricted to one priority class. The offload engine uses this
-  /// on its failure path to abandon queued demand reads (always safe to
-  /// cancel: re-fetchable) without touching queued writes, which may carry
-  /// not-yet-persisted state.
-  std::size_t cancel_queued(IoPriority priority);
-
-  /// Same, restricted to one tenant — the fail-stop path on a shared
-  /// scheduler: the dead job's queued traffic is abandoned while every
-  /// other tenant's queues are untouched.
-  std::size_t cancel_tenant_queued(u32 tenant);
-
-  /// One tenant, one priority class (e.g. a borrowed engine abandoning its
-  /// own queued demand reads without touching its neighbours').
-  std::size_t cancel_queued(IoPriority priority, u32 tenant);
+  /// Cancel the requests still queued (not yet dispatched) that match
+  /// `priority` and `tenant` — an empty filter matches everything — by
+  /// cancelling their tokens; each drops at dispatch, failing its future
+  /// with IoCancelled. In-flight requests are untouched (a dispatched NVMe
+  /// command cannot be recalled) and later submissions are unaffected.
+  /// Returns the number of requests newly flagged. Callers:
+  ///   * the RecoveryDriver abandons a fail-stopped node's queued traffic
+  ///     (all of it on an owned scheduler, its tenant's on a shared one),
+  ///     so it never dispatches serially against a dead device;
+  ///   * the offload engine's failure path abandons its queued demand
+  ///     reads (re-fetchable, so always safe) but no writes, which may
+  ///     carry not-yet-persisted state.
+  std::size_t cancel_queued(std::optional<IoPriority> priority = {},
+                            std::optional<u32> tenant = {});
 
   // --- Tenant fail-stop (resilience scoping on a shared scheduler) ------
 
@@ -253,8 +238,6 @@ class IoScheduler {
   ChannelQueue& route(const IoRequest& req);
   ChannelQueue& external_channel_for(StorageTier* tier);
   void settle(Pending& pending, std::exception_ptr error);
-  std::size_t cancel_queued_matching(const IoPriority* priority,
-                                     const u32* tenant);
   std::size_t class_of(const IoRequest& req) const;
   u32 weight_of(u32 tenant) const;
   static u64 effective_bytes(const IoRequest& req);
@@ -265,16 +248,23 @@ class IoScheduler {
   TenantMap::iterator pick_tenant(ChannelQueue& q) MLPO_REQUIRES(q.mutex);
   void run_batch(ChannelQueue& q,
                  std::vector<std::unique_ptr<Pending>>& batch);
+  /// The one completion path for a dispatched request, inline or from an
+  /// async backend's completion thread: fold its times and outcome into
+  /// the global and tenant stats (failed requests still waited and held
+  /// the channel, so their times count too), run on_complete on success
+  /// (a throwing hook fails the future, but the transfer stays counted
+  /// completed), then settle and count it settled.
+  void complete(Pending& pending, f64 queue_wait, f64 service, u64 moved,
+                std::exception_ptr error);
   void finish_one(u32 tenant);
   bool tenant_failed_locked(u32 tenant) MLPO_REQUIRES(tenant_fail_mutex_);
 
   const SimClock* clock_;
   VirtualTier* vtier_;
   Config cfg_;
-  /// Scheduler-owned link limiters (Config::d2h_bandwidth > 0); otherwise
-  /// the caller's pointers are borrowed as before.
-  std::unique_ptr<RateLimiter> owned_d2h_;
-  std::unique_ptr<RateLimiter> owned_h2d_;
+  /// Null when Config::link_bandwidth is 0 (instantaneous links).
+  std::unique_ptr<RateLimiter> d2h_;
+  std::unique_ptr<RateLimiter> h2d_;
   std::size_t tier_paths_ = 0;
   std::vector<std::unique_ptr<ChannelQueue>> queues_;
   /// Lazily-created channels for foreign tiers, keyed by tier identity.

@@ -33,11 +33,10 @@ ClusterSubstrate::ClusterSubstrate(f64 time_scale, const SharedConfig& shared)
   io_cfg.worker_id = 0;
   io_cfg.tenant_weights = shared_cfg_.tenant_weights;
   io_cfg.fair_share_quantum_bytes = shared_cfg_.fair_share_quantum_bytes;
-  // The scheduler owns the D2H/H2D link limiters — there is no per-worker
-  // link when every job shares one substrate.
-  io_cfg.d2h_bandwidth = shared_cfg_.testbed.d2h_bandwidth;
-  io_ = std::make_unique<IoScheduler>(*clock_, vtier_.get(), nullptr, nullptr,
-                                      io_cfg);
+  // There is no per-worker link when every job shares one substrate: the
+  // scheduler's D2H/H2D pair serves them all.
+  io_cfg.link_bandwidth = shared_cfg_.testbed.d2h_bandwidth;
+  io_ = std::make_unique<IoScheduler>(*clock_, vtier_.get(), io_cfg);
 
   {
     MutexLock lock(mutex_);

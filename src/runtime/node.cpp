@@ -350,10 +350,10 @@ bool NodeSim::any_failstop_dead() {
 
 u64 NodeSim::cancel_queued_io() {
   if (cfg_.substrate != nullptr) {
-    return cfg_.substrate->io().cancel_tenant_queued(cfg_.tenant);
+    return cfg_.substrate->io().cancel_queued({}, cfg_.tenant);
   }
   u64 cancelled = 0;
-  for (auto& w : workers_) cancelled += w->io().cancel_all_queued();
+  for (auto& w : workers_) cancelled += w->io().cancel_queued();
   return cancelled;
 }
 

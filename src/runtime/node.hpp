@@ -132,7 +132,7 @@ class NodeSim {
   bool any_failstop_dead();
 
   /// Cancel every request still queued on this node's worker schedulers
-  /// (see IoScheduler::cancel_all_queued) — scoped to this node's tenant
+  /// (see IoScheduler::cancel_queued) — scoped to this node's tenant
   /// on a shared substrate, so the sweep never touches a neighbour job's
   /// queue. Returns how many were flagged.
   u64 cancel_queued_io();

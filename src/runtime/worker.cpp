@@ -10,14 +10,14 @@ Worker::Worker(const SimClock& clock, VirtualTier& vtier, ThreadPool* cpu_pool,
   // The scheduler spawns one dispatch thread per channel (read+write per
   // storage path, D2H, H2D, external), so independent channels stay
   // genuinely concurrent (the multi-path win) while each channel orders
-  // its own traffic by priority class. The D2H/H2D link limiters are
-  // scheduler-owned, sized from the testbed's link bandwidth.
+  // its own traffic by priority class. The D2H/H2D links run at the
+  // testbed's link bandwidth.
   IoScheduler::Config io_cfg;
   io_cfg.queue_depth = 256;
   io_cfg.tier_exclusive_locking = opts.tier_exclusive_locking;
   io_cfg.worker_id = worker_id;
-  io_cfg.d2h_bandwidth = testbed.d2h_bandwidth;
-  io_ = std::make_unique<IoScheduler>(clock, &vtier, nullptr, nullptr, io_cfg);
+  io_cfg.link_bandwidth = testbed.d2h_bandwidth;
+  io_ = std::make_unique<IoScheduler>(clock, &vtier, io_cfg);
   io_active_ = io_.get();
   build_engine(clock, vtier, cpu_pool, grads, opts, layout);
 }
@@ -55,7 +55,6 @@ void Worker::build_engine(const SimClock& clock, VirtualTier& vtier,
   ctx.io = io_active_;
   ctx.cpu_pool = cpu_pool;
   ctx.grads = &grads;
-  ctx.worker_id = worker_id_;
   ctx.rank = rank_;
   ctx.tenant = tenant_;
   engine_ = make_engine(ctx, opts, layout);

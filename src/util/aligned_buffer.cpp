@@ -40,48 +40,23 @@ AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
 
 namespace {
 
-std::size_t round_up(std::size_t bytes, std::size_t granule) {
-  return (bytes + granule - 1) / granule * granule;
-}
-
-BufferPool::Options checked(BufferPool::Options o) {
+// Validates `o` and returns its slab size rounded up to whole granules.
+std::size_t checked_slab_bytes(const BufferPool::Options& o) {
   if (o.granule == 0) {
     throw std::invalid_argument("BufferPool: granule must be positive");
   }
   if (o.slab_bytes == 0) {
     throw std::invalid_argument("BufferPool: need a non-empty slab");
   }
-  o.slab_bytes = round_up(o.slab_bytes, o.granule);
-  return o;
-}
-
-BufferPool::Options legacy_options(std::size_t count, std::size_t size) {
-  if (count == 0) {
-    throw std::invalid_argument("BufferPool: need at least one buffer");
-  }
-  BufferPool::Options o;
-  o.slab_bytes = count * round_up(size == 0 ? 1 : size, o.granule);
-  return o;
+  return (o.slab_bytes + o.granule - 1) / o.granule * o.granule;
 }
 
 }  // namespace
 
 BufferPool::BufferPool(const Options& options)
-    : BufferPool(checked(options), std::size_t{0}) {}
-
-BufferPool::BufferPool(std::size_t buffer_count, std::size_t buffer_size)
-    : BufferPool(legacy_options(buffer_count, buffer_size),
-                 buffer_size == 0 ? 1 : buffer_size) {}
-
-// Delegation target shared by both public constructors; `options` is
-// already checked/rounded, default_lease == 0 means one granule.
-BufferPool::BufferPool(Options options, std::size_t default_lease)
     : granule_(options.granule),
-      default_lease_bytes_(default_lease == 0 ? options.granule
-                                              : default_lease),
-      capacity_(options.slab_bytes / round_up(default_lease_bytes_, granule_)),
-      slab_(options.slab_bytes, granule_),
-      allocator_(options.slab_bytes, granule_) {
+      slab_(checked_slab_bytes(options), options.granule),
+      allocator_(slab_.size(), granule_) {
   if (options.pin) {
     // Best effort: RLIMIT_MEMLOCK commonly forbids this inside containers,
     // and emulation does not need residency guarantees.
@@ -145,12 +120,6 @@ BufferPool::Lease BufferPool::try_acquire(std::size_t bytes) {
     stats_.peak_bytes_in_use = stats_.bytes_in_use;
   }
   return Lease(this, alloc, slab_.data() + alloc.offset, want);
-}
-
-std::size_t BufferPool::available() const {
-  const std::size_t slot = round_up(default_lease_bytes_, granule_);
-  MutexLock lock(mutex_);
-  return allocator_.free_bytes() / slot;
 }
 
 std::size_t BufferPool::free_bytes() const {

@@ -93,11 +93,8 @@ class BufferPool {
     u64 peak_bytes_in_use = 0;
   };
 
+  /// Throws std::invalid_argument for a zero granule or an empty slab.
   explicit BufferPool(const Options& options);
-  /// Convenience: a slab sized for `buffer_count` leases of `buffer_size`
-  /// (each rounded up to the granule). acquire() with no argument hands
-  /// out `buffer_size` bytes, preserving the fixed-budget idiom.
-  BufferPool(std::size_t buffer_count, std::size_t buffer_size);
 
   /// RAII lease on a pooled span; returns it on destruction.
   class Lease {
@@ -167,17 +164,10 @@ class BufferPool {
   /// Non-blocking variant; returns an invalid lease when the slab cannot
   /// satisfy the request right now.
   Lease try_acquire(std::size_t bytes);
-  /// Legacy fixed-size idiom: lease `buffer_size()` bytes.
-  Lease acquire() { return acquire(default_lease_bytes_); }
-  Lease try_acquire() { return try_acquire(default_lease_bytes_); }
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t buffer_size() const { return default_lease_bytes_; }
   std::size_t slab_bytes() const { return slab_.size(); }
   std::size_t granule() const { return granule_; }
   bool pinned() const { return pinned_; }
-  /// Free default-size slots (legacy fixed-budget view of the slab).
-  std::size_t available() const;
   std::size_t free_bytes() const;
   Stats stats() const;
   /// Zeroes the monotonic counters (bytes_in_use/peak reset to current
@@ -186,13 +176,10 @@ class BufferPool {
 
  private:
   friend class Lease;
-  BufferPool(Options options, std::size_t default_lease);
   void put_back(const OffsetAllocator::Allocation& alloc);
   void note_heap_release();
 
   std::size_t granule_;
-  std::size_t default_lease_bytes_;
-  std::size_t capacity_;
   bool pinned_ = false;
   AlignedBuffer slab_;
 

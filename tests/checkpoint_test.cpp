@@ -45,7 +45,7 @@ struct Rig {
     IoScheduler::Config cfg;
     cfg.tier_exclusive_locking = opts.tier_exclusive_locking;
     schedulers.push_back(
-        std::make_unique<IoScheduler>(clock, &vtier, nullptr, nullptr, cfg));
+        std::make_unique<IoScheduler>(clock, &vtier, cfg));
 
     EngineContext ctx;
     ctx.clock = &clock;

@@ -78,7 +78,9 @@ TEST(ThreadPoolHammer, EverySuccessfulSubmitRedeemsItsFuture) {
 
 TEST(BufferPoolHammer, LeasesNeverOversubscribe) {
   constexpr std::size_t kBuffers = 3;
-  BufferPool pool(kBuffers, 1024);
+  BufferPool::Options opts;
+  opts.slab_bytes = kBuffers * 4096;  // a 1024-byte lease takes a granule
+  BufferPool pool(opts);
   std::atomic<int> holding{0};
   std::atomic<bool> oversubscribed{false};
 
@@ -86,7 +88,7 @@ TEST(BufferPoolHammer, LeasesNeverOversubscribe) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&pool, &holding, &oversubscribed] {
       for (int i = 0; i < 400; ++i) {
-        auto lease = pool.acquire();
+        auto lease = pool.acquire(1024);
         const int now = holding.fetch_add(1, std::memory_order_acq_rel) + 1;
         if (now > static_cast<int>(kBuffers)) oversubscribed.store(true);
         holding.fetch_sub(1, std::memory_order_acq_rel);
@@ -96,7 +98,7 @@ TEST(BufferPoolHammer, LeasesNeverOversubscribe) {
   for (auto& t : threads) t.join();
 
   EXPECT_FALSE(oversubscribed.load());
-  EXPECT_EQ(pool.available(), kBuffers);
+  EXPECT_EQ(pool.free_bytes(), kBuffers * 4096);
 }
 
 TEST(BufferPoolHammer, VariableSizeLeasesConserveSlabBytes) {
@@ -159,7 +161,7 @@ TEST(TenancyHammer, BullyFailStopLeavesSurvivorLatencyAndDataIntact) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
   MemoryTier tier("tenancy-shared");
 
   // Survivor payloads, written directly (setup, not under test).

@@ -12,7 +12,7 @@ namespace {
 TEST(DiskOffloader, AsyncWriteReadRoundtrip) {
   MemoryTier tier("disk");
   SimClock clock(1.0);
-  IoScheduler io(clock);
+  IoScheduler io(clock, nullptr, {});
   DiskOffloader offloader(tier, io);
 
   std::vector<f32> tensor(256);
@@ -29,7 +29,7 @@ TEST(DiskOffloader, AsyncWriteReadRoundtrip) {
 TEST(DiskOffloader, SynchronizeDrainsEverything) {
   MemoryTier tier("disk");
   SimClock clock(1.0);
-  IoScheduler io(clock);
+  IoScheduler io(clock, nullptr, {});
   DiskOffloader offloader(tier, io);
 
   std::vector<std::vector<f32>> tensors(16, std::vector<f32>(64, 1.5f));
@@ -45,7 +45,7 @@ TEST(DiskOffloader, SynchronizeDrainsEverything) {
 TEST(DiskOffloader, ErrorsSurfaceOnSynchronize) {
   MemoryTier tier("disk");
   SimClock clock(1.0);
-  IoScheduler io(clock);
+  IoScheduler io(clock, nullptr, {});
   DiskOffloader offloader(tier, io);
   std::vector<f32> out(8);
   offloader.async_read("missing", out);  // will fail
@@ -58,7 +58,7 @@ TEST(DiskOffloader, EndToEndVirtualTierRecipe) {
   MemoryTier fast("nvme", 6e9, 6e9);
   MemoryTier slow("pfs", 3e9, 3e9);
   SimClock clock(1.0);
-  IoScheduler io(clock);
+  IoScheduler io(clock, nullptr, {});
   DiskOffloader off_fast(fast, io);
   DiskOffloader off_slow(slow, io);
   std::vector<DiskOffloader*> offs = {&off_fast, &off_slow};

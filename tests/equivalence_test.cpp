@@ -45,7 +45,7 @@ u64 run_opts(EngineOptions opts, u32 accum_steps = 1,
   IoScheduler::Config io_cfg;
   io_cfg.queue_depth = 128;
   io_cfg.tier_exclusive_locking = opts.tier_exclusive_locking;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, io_cfg);
+  IoScheduler io(clock, &vtier, io_cfg);
   GradSource grads;
 
   opts.host_cache_subgroups = 2;
@@ -138,11 +138,14 @@ TEST(Equivalence, OffloadedMatchesHostResidentEngine) {
   // must equal the fully offloaded engines'.
   SimClock clock(50000.0);
   GradSource grads;
-  CpuOnlyEngine::Options opts;
+  EngineContext ctx;
+  ctx.clock = &clock;
+  ctx.grads = &grads;
+  EngineOptions opts;
   opts.cpu_update_rate = 1e9;
   opts.convert.fp32_bytes_per_sec = 1e12;
   opts.elem_scale = 1;
-  CpuOnlyEngine engine(clock, grads, test_layout(), opts);
+  CpuOnlyEngine engine(ctx, opts, test_layout());
   engine.initialize();
   for (u64 iter = 0; iter < kIterations; ++iter) {
     engine.deposit_gradients(iter, true);

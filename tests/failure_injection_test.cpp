@@ -74,7 +74,7 @@ struct Rig {
 
   Rig() {
     vtier.add_path(flaky);
-    io = std::make_unique<IoScheduler>(clock, &vtier, nullptr, nullptr);
+    io = std::make_unique<IoScheduler>(clock, &vtier, IoScheduler::Config{});
   }
 
   std::unique_ptr<OffloadEngine> make_engine(bool delayed_grads = true) {

@@ -30,7 +30,7 @@ class FileBackendTest : public ::testing::Test {
     fs::remove_all(root_);
     vtier_.add_path(std::make_shared<FileTier>("disk0", root_ / "disk0"));
     vtier_.add_path(std::make_shared<FileTier>("disk1", root_ / "disk1"));
-    io_ = std::make_unique<IoScheduler>(clock_, &vtier_, nullptr, nullptr);
+    io_ = std::make_unique<IoScheduler>(clock_, &vtier_, IoScheduler::Config{});
   }
   void TearDown() override { fs::remove_all(root_); }
 
@@ -116,7 +116,7 @@ TEST_F(FileBackendTest, StateMatchesEmulatedBackend) {
   VirtualTier mem_vtier;
   mem_vtier.add_path(std::make_shared<MemoryTier>("m0"));
   mem_vtier.add_path(std::make_shared<MemoryTier>("m1"));
-  IoScheduler mem_io(clock_, &mem_vtier, nullptr, nullptr);
+  IoScheduler mem_io(clock_, &mem_vtier, {});
   const u64 mem_digest = run(mem_vtier, mem_io);
 
   EXPECT_EQ(file_digest, mem_digest);

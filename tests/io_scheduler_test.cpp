@@ -1,11 +1,15 @@
 // IoScheduler: priority ordering, per-channel backpressure, cancellation
-// of queued requests, small-transfer coalescing, completion callbacks, and
-// the strict-FIFO baseline mode.
+// of queued requests, small-transfer coalescing, completion callbacks on
+// the inline and async paths, the owned link limiters, and the strict-FIFO
+// baseline mode.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -14,6 +18,7 @@
 
 #include "io/io_batch.hpp"
 #include "io/io_scheduler.hpp"
+#include "io/uring_backend.hpp"
 #include "tiers/failstop_tier.hpp"
 #include "tiers/memory_tier.hpp"
 #include "util/sim_clock.hpp"
@@ -75,7 +80,7 @@ TEST(IoScheduler, DispatchesByPriorityClassNotArrivalOrder) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -105,7 +110,7 @@ TEST(IoScheduler, StrictFifoDispatchesInArrivalOrder) {
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
   cfg.strict_fifo = true;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -133,7 +138,7 @@ TEST(IoScheduler, SubmitBlocksWhenChannelQueueIsFull) {
   IoScheduler::Config cfg;
   cfg.queue_depth = 4;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -180,7 +185,7 @@ TEST(IoScheduler, CancelledQueuedFlushesAreDroppedAtDispatch) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -240,7 +245,7 @@ TEST(IoScheduler, SmallTransfersCoalesceUnderOneDispatch) {
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 64 * KiB;
   cfg.coalesce_batch = 8;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
   MemoryTier store("store");
 
   // Park the store's dedicated external channel (requests naming a tier
@@ -280,7 +285,7 @@ TEST(IoScheduler, TierRoundtripWithAutoPathReadRouting) {
   VirtualTier vtier;
   vtier.add_path(std::make_shared<MemoryTier>("m0"));
   vtier.add_path(std::make_shared<MemoryTier>("m1"));
-  IoScheduler sched(clock, &vtier, nullptr, nullptr);
+  IoScheduler sched(clock, &vtier, {});
 
   const std::vector<u8> data = {1, 2, 3, 4, 5};
   IoRequest wr;
@@ -306,7 +311,7 @@ TEST(IoScheduler, UnknownKeyReadFailsThroughFuture) {
   SimClock clock(1.0);
   VirtualTier vtier;
   vtier.add_path(std::make_shared<MemoryTier>("m0"));
-  IoScheduler sched(clock, &vtier, nullptr, nullptr);
+  IoScheduler sched(clock, &vtier, {});
 
   std::vector<u8> out(4);
   IoRequest rd;
@@ -321,7 +326,7 @@ TEST(IoScheduler, TierWriteWithoutPathHintIsRejected) {
   SimClock clock(1.0);
   VirtualTier vtier;
   vtier.add_path(std::make_shared<MemoryTier>("m0"));
-  IoScheduler sched(clock, &vtier, nullptr, nullptr);
+  IoScheduler sched(clock, &vtier, {});
 
   IoRequest wr;
   wr.op = IoOp::kWrite;
@@ -333,7 +338,7 @@ TEST(IoScheduler, CompletionCallbackFeedsObservedBandwidth) {
   SimClock clock(10000.0);
   VirtualTier vtier;
   vtier.add_path(std::make_shared<MemoryTier>("m0"));
-  IoScheduler sched(clock, &vtier, nullptr, nullptr);
+  IoScheduler sched(clock, &vtier, {});
 
   const std::vector<u8> data(256, 7);
   IoResult seen;
@@ -367,7 +372,7 @@ TEST(IoScheduler, CompletionCallbackFeedsObservedBandwidth) {
 
 TEST(IoScheduler, DrainWaitsForEverySubmittedRequest) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   MemoryTier store("store");
 
   std::atomic<int> done{0};
@@ -393,7 +398,7 @@ TEST(IoScheduler, DrainWaitsForEverySubmittedRequest) {
 
 TEST(IoScheduler, DistinctExternalTiersDispatchConcurrently) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   MemoryTier a("tier-a");
   MemoryTier b("tier-b");
 
@@ -443,7 +448,7 @@ IoRequest task(std::function<void()> fn) {
 
 TEST(IoBatch, WaitAllPropagatesFirstError) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   IoBatch batch;
   std::atomic<int> ok{0};
   batch.add(sched.submit(task([&ok] { ok.fetch_add(1); })));
@@ -460,7 +465,7 @@ TEST(IoBatch, WaitAllPropagatesFirstError) {
 
 TEST(IoBatch, WaitAllAggregatesEveryError) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   IoBatch batch;
   batch.add(sched.submit(task([] { throw std::runtime_error("path0 down"); })));
   batch.add(sched.submit(task([] { throw std::runtime_error("path1 down"); })));
@@ -478,7 +483,7 @@ TEST(IoBatch, WaitAllAggregatesEveryError) {
 
 TEST(IoBatch, SingleFailurePreservesExceptionType) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   IoBatch batch;
   batch.add(sched.submit(task([] { throw std::out_of_range("missing key"); })));
   EXPECT_THROW(batch.wait_all(), std::out_of_range);
@@ -492,7 +497,7 @@ TEST(IoBatch, EmptyBatchIsFine) {
 
 TEST(IoScheduler, LinkRequestsCompleteWithoutLimiter) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   IoRequest d2h;
   d2h.target = IoTarget::kD2HLink;
   d2h.key = "grad";
@@ -507,6 +512,148 @@ TEST(IoScheduler, LinkRequestsCompleteWithoutLimiter) {
   h2d.priority = IoPriority::kDemandPrefetch;
   sched.submit(std::move(h2d)).get();
   SUCCEED();
+}
+
+TEST(IoScheduler, OwnedLinkLimitersChargeBothLinksIndependently) {
+  // 40 MiB at 1 MiB per vsecond = 40 vsec = 40 ms real: well above timer
+  // jitter, and the 1.5x upper bound still sits below the 2x a shared
+  // channel would take.
+  constexpr u64 kBytes = 40 * MiB;
+  constexpr f64 kSeconds = 40.0;
+  SimClock clock(1000.0);
+  IoScheduler::Config cfg;
+  cfg.link_bandwidth = static_cast<f64>(MiB);
+  IoScheduler sched(clock, nullptr, cfg);
+  const auto link = [](IoTarget target) {
+    IoRequest req;
+    req.target = target;
+    req.key = "link";
+    req.sim_bytes = kBytes;
+    req.priority = IoPriority::kGradDeposit;
+    return req;
+  };
+
+  for (const IoTarget target : {IoTarget::kD2HLink, IoTarget::kH2DLink}) {
+    const f64 t0 = clock.now();
+    sched.submit(link(target)).get();
+    const f64 elapsed = clock.now() - t0;
+    EXPECT_GE(elapsed, 0.95 * kSeconds);
+    EXPECT_LT(elapsed, 1.5 * kSeconds);
+  }
+
+  const f64 t0 = clock.now();
+  auto d2h = sched.submit(link(IoTarget::kD2HLink));
+  auto h2d = sched.submit(link(IoTarget::kH2DLink));
+  d2h.get();
+  h2d.get();
+  const f64 elapsed = clock.now() - t0;
+  EXPECT_GE(elapsed, 0.95 * kSeconds);
+  EXPECT_LT(elapsed, 1.5 * kSeconds) << "D2H and H2D share one channel";
+}
+
+// One write, its read-back, and a write whose on_complete hook throws, all
+// through a one-path vtier over `path`. Returns what the scheduler folded
+// and what the hooks saw, so the inline (sync tier) and completion-callback
+// (async tier) paths can be compared field by field.
+struct CompletionProbe {
+  IoScheduler::Stats stats;
+  IoScheduler::Stats tenant0;
+  int write_hook_calls = 0;
+  int read_hook_calls = 0;
+  u64 write_hook_bytes = 0;
+  u64 read_hook_bytes = 0;
+};
+
+CompletionProbe probe_completions(std::shared_ptr<StorageTier> path) {
+  SimClock clock(1.0);
+  VirtualTier vtier;
+  vtier.add_path(std::move(path));
+  IoScheduler sched(clock, &vtier, {});
+  CompletionProbe probe;
+
+  const std::vector<u8> data(4096 + 17, 0x5A);
+  IoRequest wr;
+  wr.op = IoOp::kWrite;
+  wr.key = "obj";
+  wr.src = data;
+  wr.sim_bytes = 2 * MiB;
+  wr.path = 0;
+  wr.priority = IoPriority::kLazyFlush;
+  wr.on_complete = [&probe](const IoResult& r) {
+    ++probe.write_hook_calls;
+    probe.write_hook_bytes = r.sim_bytes;
+  };
+  sched.submit(std::move(wr)).get();
+
+  std::vector<u8> back(data.size(), 0);
+  IoRequest rd;
+  rd.op = IoOp::kRead;
+  rd.key = "obj";
+  rd.dst = back;
+  rd.sim_bytes = 2 * MiB;
+  rd.priority = IoPriority::kDemandPrefetch;
+  rd.on_complete = [&probe](const IoResult& r) {
+    ++probe.read_hook_calls;
+    probe.read_hook_bytes = r.sim_bytes;
+  };
+  sched.submit(std::move(rd)).get();
+  EXPECT_EQ(back, data);
+
+  // The transfer succeeds, the hook throws: the future fails, but the
+  // request stays counted as completed.
+  IoRequest bad;
+  bad.op = IoOp::kWrite;
+  bad.key = "obj2";
+  bad.src = data;
+  bad.path = 0;
+  bad.priority = IoPriority::kLazyFlush;
+  bad.on_complete = [](const IoResult&) {
+    throw std::runtime_error("hook failed");
+  };
+  EXPECT_THROW(sched.submit(std::move(bad)).get(), std::runtime_error);
+
+  sched.drain();
+  probe.stats = sched.stats();
+  probe.tenant0 = sched.tenant_stats(0);
+  return probe;
+}
+
+TEST(IoScheduler, SyncAndAsyncCompletionsFoldIdentically) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mlpo_io_sched_async_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  UringFileTier::Options o;
+  o.force_fallback = true;
+  const auto async_tier = std::make_shared<UringFileTier>("uring0", dir, o);
+  ASSERT_TRUE(async_tier->supports_async());
+
+  const CompletionProbe inline_path =
+      probe_completions(std::make_shared<MemoryTier>("m0"));
+  const CompletionProbe async_path = probe_completions(async_tier);
+  std::filesystem::remove_all(dir);
+
+  for (const CompletionProbe* p : {&inline_path, &async_path}) {
+    EXPECT_EQ(p->write_hook_calls, 1);
+    EXPECT_EQ(p->read_hook_calls, 1);
+    EXPECT_EQ(p->write_hook_bytes, 2u * MiB);
+    EXPECT_EQ(p->read_hook_bytes, 2u * MiB);
+    const auto& flush =
+        p->stats.priority[static_cast<std::size_t>(IoPriority::kLazyFlush)];
+    EXPECT_EQ(flush.completed, 2u) << "a throwing hook still completes";
+    EXPECT_EQ(flush.failed, 0u);
+  }
+  for (std::size_t pri = 0; pri < kIoPriorityCount; ++pri) {
+    const auto& a = inline_path.stats.priority[pri];
+    const auto& b = async_path.stats.priority[pri];
+    EXPECT_EQ(a.completed, b.completed) << io_priority_name(IoPriority(pri));
+    EXPECT_EQ(a.failed, b.failed) << io_priority_name(IoPriority(pri));
+    EXPECT_EQ(a.sim_bytes, b.sim_bytes) << io_priority_name(IoPriority(pri));
+    const auto& t = async_path.tenant0.priority[pri];
+    EXPECT_EQ(t.completed, b.completed);
+    EXPECT_EQ(t.failed, b.failed);
+    EXPECT_EQ(t.sim_bytes, b.sim_bytes);
+  }
 }
 
 // --- Tenancy: weighted fair share, scoped cancellation, fail-stop --------
@@ -542,7 +689,7 @@ TEST(IoSchedulerTenancy, WeightedFairShareOnSaturatedChannel) {
   cfg.coalesce_max_sim_bytes = 0;
   cfg.tenant_weights = {{1, 1}, {2, 3}};
   cfg.fair_share_quantum_bytes = 8 * MiB;  // one request per unit weight
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -586,7 +733,7 @@ TEST(IoSchedulerTenancy, LightTenantUrgencyServedWithinItsShare) {
   cfg.coalesce_max_sim_bytes = 0;
   cfg.tenant_weights = {{1, 1}, {2, 4}};
   cfg.fair_share_quantum_bytes = 8 * MiB;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -616,7 +763,7 @@ TEST(IoSchedulerTenancy, CancelTenantQueuedScopesToOneTenant) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -628,7 +775,7 @@ TEST(IoSchedulerTenancy, CancelTenantQueuedScopesToOneTenant) {
     doomed.push_back(sched.submit(tenant_req(1, IoPriority::kLazyFlush)));
     spared.push_back(sched.submit(tenant_req(2, IoPriority::kLazyFlush)));
   }
-  EXPECT_EQ(sched.cancel_tenant_queued(1), 3u);
+  EXPECT_EQ(sched.cancel_queued({}, 1), 3u);
   go.set_value();
   f0.get();
 
@@ -644,7 +791,7 @@ TEST(IoSchedulerTenancy, CancelByPriorityAndTenantIsDoublyScoped) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -667,7 +814,7 @@ TEST(IoSchedulerTenancy, FailTenantSettlesQueuedAndRejectsNewSubmits) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -698,7 +845,7 @@ TEST(IoSchedulerTenancy, FailTenantSettlesQueuedAndRejectsNewSubmits) {
 
 TEST(IoSchedulerTenancy, ArmedDeadlineLatchesOnNextOperation) {
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
   EXPECT_FALSE(sched.tenant_failed(1));
   // Deadline already reached: the next query/submission latches the
   // tenant dead, mirroring FailStopTier's next-operation latch.
@@ -717,7 +864,7 @@ TEST(IoSchedulerTenancy, DrainTenantIgnoresNeighbourBacklog) {
   // traffic completes and drain_tenant(1) returns without waiting for the
   // neighbour — one job's teardown cannot livelock behind another's I/O.
   SimClock clock(1.0);
-  IoScheduler sched(clock);
+  IoScheduler sched(clock, nullptr, {});
 
   std::promise<void> go;
   std::promise<void> entered;
@@ -748,7 +895,7 @@ TEST(IoSchedulerTenancy, TenantZeroStatsMirrorGlobalWhenAlone) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, cfg);
+  IoScheduler sched(clock, nullptr, cfg);
   IoBatch batch;
   batch.add(sched.submit(tenant_req(0, IoPriority::kDemandPrefetch)));
   batch.add(sched.submit(tenant_req(0, IoPriority::kLazyFlush)));

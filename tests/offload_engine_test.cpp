@@ -40,29 +40,26 @@ struct EngineRig {
         /*persistent=*/true));
     IoScheduler::Config cfg;
     cfg.queue_depth = 128;
-    io = std::make_unique<IoScheduler>(clock, &vtier, nullptr, nullptr, cfg);
+    io = std::make_unique<IoScheduler>(clock, &vtier, cfg);
     cfg.tier_exclusive_locking = false;
-    io_unlocked =
-        std::make_unique<IoScheduler>(clock, &vtier, nullptr, nullptr, cfg);
+    io_unlocked = std::make_unique<IoScheduler>(clock, &vtier, cfg);
   }
 
-  EngineContext context(int worker = 0, int rank = 0) {
+  EngineContext context(int rank = 0) {
     EngineContext ctx;
     ctx.clock = &clock;
     ctx.vtier = &vtier;
     ctx.io = io.get();
     ctx.cpu_pool = nullptr;
     ctx.grads = &grads;
-    ctx.worker_id = worker;
     ctx.rank = rank;
     return ctx;
   }
 
   /// Context whose scheduler locking matches the engine's flags (the
   /// deepspeed_zero3 baseline runs without tier-exclusive locking).
-  EngineContext context_for(const EngineOptions& opts, int worker = 0,
-                            int rank = 0) {
-    EngineContext ctx = context(worker, rank);
+  EngineContext context_for(const EngineOptions& opts, int rank = 0) {
+    EngineContext ctx = context(rank);
     if (!opts.tier_exclusive_locking) ctx.io = io_unlocked.get();
     return ctx;
   }

@@ -201,20 +201,5 @@ TEST(BufferPoolSlab, AcquireBlocksUntilSpaceFrees) {
   EXPECT_GE(pool.stats().blocked_waits, 1u);
 }
 
-TEST(BufferPoolSlab, LegacyFixedBudgetCtorStillWorks) {
-  BufferPool pool(3, 1000);  // three 1000-byte leases (granule-rounded slab)
-  EXPECT_EQ(pool.capacity(), 3u);
-  EXPECT_EQ(pool.buffer_size(), 1000u);
-  auto a = pool.acquire();
-  auto b = pool.acquire();
-  auto c = pool.acquire();
-  EXPECT_EQ(pool.available(), 0u);
-  EXPECT_FALSE(pool.try_acquire().valid());
-  a.release();
-  EXPECT_EQ(pool.available(), 1u);
-  b.release();
-  c.release();
-}
-
 }  // namespace
 }  // namespace mlpo

@@ -274,7 +274,7 @@ TEST(IoSchedulerCancellation, QueuedRequestsDropWithIoCancelled) {
   // the first dispatch batch) for cancellation to have a target.
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, cfg);
+  IoScheduler io(clock, &vtier, cfg);
 
   const std::vector<u8> payload(64, 0xAB);
   for (int i = 0; i < 5; ++i) {
@@ -292,8 +292,8 @@ TEST(IoSchedulerCancellation, QueuedRequestsDropWithIoCancelled) {
   // The first read is dispatched (blocked on the gate); the other four are
   // queued behind it on the same read channel.
   gate->first_read_started.get_future().wait();
-  EXPECT_EQ(io.cancel_all_queued(), 4u);
-  EXPECT_EQ(io.cancel_all_queued(), 0u) << "second sweep finds none new";
+  EXPECT_EQ(io.cancel_queued(), 4u);
+  EXPECT_EQ(io.cancel_queued(), 0u) << "second sweep finds none new";
   gate->gate.set_value();
 
   EXPECT_NO_THROW(reads[0].get()) << "dispatched request runs to completion";
@@ -310,7 +310,7 @@ TEST(IoSchedulerCancellation, PriorityFilterLeavesOtherClassesQueued) {
   vtier.add_path(gate);
   IoScheduler::Config cfg;
   cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler io(clock, &vtier, nullptr, nullptr, cfg);
+  IoScheduler io(clock, &vtier, cfg);
 
   const std::vector<u8> payload(64, 1);
   for (int i = 0; i < 3; ++i) {

@@ -1,42 +1,11 @@
-// PhaseTimer, IterationReport derived metrics, TablePrinter formatting.
+// IterationReport derived metrics, TablePrinter formatting.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "telemetry/iteration_report.hpp"
-#include "telemetry/phase_timer.hpp"
 #include "telemetry/table_printer.hpp"
-#include "telemetry/trace_csv.hpp"
 
 namespace mlpo {
 namespace {
-
-TEST(PhaseTimer, AccumulatesScopedTime) {
-  SimClock clock(10000.0);
-  PhaseTimer timer(clock);
-  {
-    PhaseTimer::Scope scope(timer, Phase::kForward);
-    clock.sleep_for(5.0);
-  }
-  {
-    PhaseTimer::Scope scope(timer, Phase::kUpdate);
-    clock.sleep_for(10.0);
-  }
-  EXPECT_GE(timer.total(Phase::kForward), 4.5);
-  EXPECT_GE(timer.total(Phase::kUpdate), 9.5);
-  EXPECT_EQ(timer.total(Phase::kBackward), 0.0);
-  EXPECT_GE(timer.iteration_total(), 14.0);
-  timer.reset();
-  EXPECT_EQ(timer.iteration_total(), 0.0);
-}
-
-TEST(PhaseTimer, PhaseNames) {
-  EXPECT_STREQ(phase_name(Phase::kForward), "forward");
-  EXPECT_STREQ(phase_name(Phase::kBackward), "backward");
-  EXPECT_STREQ(phase_name(Phase::kUpdate), "update");
-}
 
 TEST(IterationReport, UpdateThroughputInMparams) {
   IterationReport r;
@@ -239,42 +208,6 @@ TEST(TablePrinter, NumberFormatHelpers) {
   EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::num(10, 0), "10");
   EXPECT_EQ(TablePrinter::pct(0.995), "99.5%");
-}
-
-TEST(TraceCsv, HeaderAndRows) {
-  SubgroupTrace t1{};
-  t1.subgroup_id = 5;
-  t1.sim_bytes_read = 1000;
-  t1.read_seconds = 0.5;
-  SubgroupTrace t2{};
-  t2.subgroup_id = 6;
-  t2.host_cache_hit = true;
-  const std::string csv = traces_to_csv({t1, t2});
-  std::istringstream in(csv);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line.substr(0, 22), "position,subgroup_id,c");
-  std::getline(in, line);
-  EXPECT_EQ(line.substr(0, 6), "0,5,0,");
-  std::getline(in, line);
-  EXPECT_EQ(line.substr(0, 6), "1,6,1,");
-  EXPECT_FALSE(std::getline(in, line));
-}
-
-TEST(TraceCsv, WriteToFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "mlpo_traces.csv").string();
-  SubgroupTrace t{};
-  t.subgroup_id = 1;
-  write_traces_csv(path, {t});
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("subgroup_id"), std::string::npos);
-  std::filesystem::remove(path);
-  EXPECT_THROW(write_traces_csv("/nonexistent-dir/x.csv", {t}),
-               std::runtime_error);
 }
 
 }  // namespace

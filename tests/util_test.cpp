@@ -83,23 +83,27 @@ TEST(AlignedBuffer, TypedView) {
 }
 
 TEST(BufferPool, AcquireReleaseCycle) {
-  BufferPool pool(2, 64);
-  EXPECT_EQ(pool.available(), 2u);
+  BufferPool::Options o;
+  o.slab_bytes = 2 * 4096;  // two granules; a 64-byte lease takes one
+  BufferPool pool(o);
+  EXPECT_EQ(pool.free_bytes(), 2u * 4096);
   {
-    auto l1 = pool.acquire();
-    auto l2 = pool.acquire();
-    EXPECT_EQ(pool.available(), 0u);
-    EXPECT_FALSE(pool.try_acquire().valid());
+    auto l1 = pool.acquire(64);
+    auto l2 = pool.acquire(64);
+    EXPECT_EQ(pool.free_bytes(), 0u);
+    EXPECT_FALSE(pool.try_acquire(64).valid());
   }
-  EXPECT_EQ(pool.available(), 2u);
+  EXPECT_EQ(pool.free_bytes(), 2u * 4096);
 }
 
 TEST(BufferPool, BlockingAcquireWakesOnRelease) {
-  BufferPool pool(1, 64);
-  auto lease = pool.acquire();
+  BufferPool::Options o;
+  o.slab_bytes = 4096;  // one granule; a 64-byte lease takes it all
+  BufferPool pool(o);
+  auto lease = pool.acquire(64);
   std::atomic<bool> got{false};
   std::thread t([&] {
-    auto l = pool.acquire();
+    auto l = pool.acquire(64);
     got = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -18,9 +18,8 @@ Checked invariants:
      bench/harness/register_all.cpp (registration is by explicit call, not
      static initialiser; an unlisted case compiles fine and never runs).
   4. Every header under src/ has at least one includer in src/, bench/,
-     examples/ or benchmark/ other than its own .cpp, or an entry with a
-     reason in HEADER_ALLOW_LIST. Tests alone do not count: a header only
-     tests include is code the system does not use.
+     examples/ or benchmark/ other than its own .cpp. Tests alone do not
+     count: a header only tests include is code the system does not use.
   5. Every storage backend kind in storage_backend_names() (the set the
      config parser accepts) is exercised by the storage-labelled tests:
      a new kind added to src/runtime/storage_config.cpp without test
@@ -40,6 +39,12 @@ Checked invariants:
      0x945ADD822FA0E79A instead of 0x8DF84728196E0BCD (equivalence_test's
      engine digests broke too). A kernel moved to a new file without the
      flag would pass on a CPU without FMA and break on one with it.
+  8. No file under src/core/ includes util/rate_limiter.hpp or
+     tiers/tier_lock.hpp. Engines never touch a TierLock or a RateLimiter:
+     every tier and link transfer goes through the IoScheduler, whose
+     channels hold the locks and limiters (the contract src/core/engine.hpp
+     states). An engine that charged a limiter itself would bypass the
+     scheduler's priorities, fair share and per-priority telemetry.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -133,13 +138,6 @@ def check_ci_labels() -> None:
         )
 
 
-# Headers exempt from invariant 4, each with the reason it may stay
-# without a non-test includer for now.
-HEADER_ALLOW_LIST: dict[str, str] = {
-    "telemetry/phase_timer.hpp": "pending ROADMAP item 4 (adopt or delete)",
-    "telemetry/trace_csv.hpp": "pending ROADMAP item 4 (adopt or delete)",
-}
-
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
 
 
@@ -155,24 +153,28 @@ def check_header_includers() -> None:
     for header in sorted(src.rglob("*.hpp")):
         rel = header.relative_to(src).as_posix()
         own_cpp = header.with_suffix(".cpp")
-        users = includers.get(rel, set()) - {header, own_cpp}
-        if users:
-            if rel in HEADER_ALLOW_LIST:
-                fail(
-                    f"src/{rel} is allow-listed in check_invariants.py but "
-                    f"has an includer now ({sorted(users)[0].relative_to(REPO)})"
-                    f" — drop the stale allow-list entry"
-                )
-            continue
-        if rel not in HEADER_ALLOW_LIST:
+        if not includers.get(rel, set()) - {header, own_cpp}:
             fail(
                 f"src/{rel} has no includer in src/, bench/, examples/ or "
-                f"benchmark/ besides its own .cpp — delete it, use it, or "
-                f"allow-list it with a reason in HEADER_ALLOW_LIST"
+                f"benchmark/ besides its own .cpp — delete it or use it"
             )
-    for rel in sorted(HEADER_ALLOW_LIST):
-        if not (src / rel).exists():
-            fail(f"HEADER_ALLOW_LIST names src/{rel}, which does not exist")
+
+
+ENGINE_FORBIDDEN_INCLUDES = ("util/rate_limiter.hpp", "tiers/tier_lock.hpp")
+
+
+def check_engine_io_contract() -> None:
+    core = REPO / "src" / "core"
+    for path in sorted(core.rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+            continue
+        for inc in INCLUDE_RE.findall(path.read_text()):
+            if inc in ENGINE_FORBIDDEN_INCLUDES:
+                fail(
+                    f"{path.relative_to(REPO).as_posix()} includes {inc} — "
+                    f"engines never touch a TierLock or a RateLimiter; "
+                    f"submit the transfer to the IoScheduler instead"
+                )
 
 
 def check_tenancy_suites(cases: dict[str, dict]) -> None:
@@ -349,6 +351,7 @@ def main() -> int:
     check_tenancy_suites(cases)
     check_storage_backend_coverage()
     check_kernel_dispatch()
+    check_engine_io_contract()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
