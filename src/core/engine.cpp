@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "io/io_batch.hpp"
+
 #include "core/cpu_only_engine.hpp"
 #include "core/offload_engine.hpp"
 #include "core/tensor_nvme_engine.hpp"
@@ -12,6 +14,7 @@ namespace mlpo {
 void EngineOptions::validate() const {
   // Resolving the names validates them (unknown -> invalid_argument
   // listing the registered policies).
+  validate_common();
   make_placement_policy(placement_policy);
   validate_resolved(*make_update_order_policy(update_order_policy));
 }
@@ -30,7 +33,6 @@ void EngineOptions::validate_common() const {
 }
 
 void EngineOptions::validate_resolved(const UpdateOrderPolicy& order) const {
-  validate_common();
   if (order.uses_host_cache()) {
     if (host_cache_subgroups == 0) {
       throw std::invalid_argument(
@@ -115,6 +117,119 @@ EngineOptions EngineOptions::deepspeed_zero3() {
 }
 
 EngineOptions EngineOptions::mlp_offload() { return preset("mlp_offload"); }
+
+Engine::Engine(const EngineContext& ctx, const EngineOptions& opts,
+               const ShardLayout& layout)
+    : ctx_(ctx), opts_(opts), layout_(layout) {
+  opts_.validate_common();
+  if (ctx_.clock == nullptr || ctx_.grads == nullptr) {
+    throw std::invalid_argument(
+        "Engine: EngineContext clock and grads are required");
+  }
+  subgroups_.reserve(layout_.subgroup_sizes.size());
+  std::vector<u64> accum_elems;
+  accum_elems.reserve(layout_.subgroup_sizes.size());
+  for (std::size_t i = 0; i < layout_.subgroup_sizes.size(); ++i) {
+    // Subgroup identity is the layout's global id (== the local index for
+    // classic layouts): checkpoints and checksums stay comparable across
+    // elastic re-shards. Engine-internal indexing stays local throughout.
+    subgroups_.push_back(std::make_unique<Subgroup>(
+        layout_.global_id(static_cast<u32>(i)), layout_.subgroup_sizes[i],
+        opts_.elem_scale));
+    accum_elems.push_back(subgroups_.back()->real_elems());
+  }
+  accum_ = std::make_unique<GradAccumulator>(accum_elems);
+}
+
+void Engine::initialize() {
+  if (initialized_) throw std::logic_error("Engine: double initialize");
+  IoBatch stored;
+  for (u32 id = 0; id < num_subgroups(); ++id) {
+    Subgroup& sg = *subgroups_[id];
+    // Content is keyed on the world-size-independent identity (canonical
+    // rank + global id for elastic layouts), so elastic restarts train on
+    // bit-identical state, and every engine starts from the same bits.
+    Subgroup::deterministic_param_init(layout_.content_rank(), sg.id(),
+                                       sg.params());
+    std::future<void> done = store_initial_state(id);
+    if (done.valid()) stored.add(std::move(done));
+  }
+  stored.wait_all();
+  initialized_ = true;
+}
+
+IterationReport Engine::run_update(u64 iteration) {
+  if (!initialized_) {
+    throw std::logic_error("Engine: run_update before initialize");
+  }
+  const f64 phase_start = ctx_.clock->now();
+  IterationReport report;
+  report.iteration = iteration;
+  update_phase(iteration, report);
+  report.params_updated = layout_.shard_params;
+  report.update_seconds = ctx_.clock->now() - phase_start;
+  return report;
+}
+
+Subgroup Engine::snapshot_subgroup(u32 id) const { return *subgroups_.at(id); }
+
+u64 Engine::state_checksum() const {
+  u64 sum = 0;
+  for (const auto& sg : subgroups_) sum += sg->checksum();  // commutative
+  return sum;
+}
+
+std::string Engine::tenant_key(std::string key) const {
+  if (ctx_.tenant == 0) return key;
+  return "t" + std::to_string(ctx_.tenant) + "/" + key;
+}
+
+void Engine::deposit_fp16(u64 sample_index, u32 id, bool first_micro_step,
+                          std::span<u16> scratch) {
+  ctx_.grads->generate_fp16(layout_.content_rank(), layout_.global_id(id),
+                            sample_index, scratch);
+  // Accumulation fans out through the CPU pool internally.
+  if (first_micro_step) {
+    accum_->store(id, scratch);
+  } else {
+    accum_->accumulate(id, scratch, ctx_.cpu_pool);
+  }
+}
+
+f64 Engine::update_subgroup(u32 id, std::vector<f32>& grads_fp32,
+                            bool upscale) {
+  Subgroup& sg = *subgroups_[id];
+  SimTimer kernel_timer(*ctx_.clock);
+  if (upscale) {
+    // Delayed in-place FP16 -> FP32 conversion (Alg. 1 l.6).
+    grads_fp32.resize(sg.real_elems());
+    accum_->upscale_into(id, grads_fp32, ctx_.cpu_pool);
+    ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
+  }
+  // cpu_update_kernel (Alg. 1 l.7): the real Adam math on the scale-reduced
+  // arrays, then the residual simulated compute charge.
+  sg.set_step(sg.step() + 1);
+  adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
+              grads_fp32, sg.step(), ctx_.cpu_pool);
+  const f64 budget = static_cast<f64>(sg.sim_params()) / opts_.cpu_update_rate;
+  const f64 real = kernel_timer.elapsed();
+  if (budget > real) ctx_.clock->sleep_for(budget - real);
+  // Accounting uses the calibrated cost model: wall-clock noise from the
+  // emulation host (scheduler preemption amplified by the time scale) stays
+  // in the phase wall time instead of being misattributed to compute.
+  return budget;
+}
+
+void Engine::fold_trace(IterationReport& report, const SubgroupTrace& trace) {
+  report.traces.push_back(trace);
+  report.sim_bytes_fetched += trace.sim_bytes_read;
+  report.sim_bytes_flushed += trace.sim_bytes_written;
+  report.fetch_seconds += trace.read_seconds;
+  report.flush_seconds += trace.write_seconds;
+  report.update_compute_seconds += trace.compute_seconds;
+  if (trace.host_cache_hit) ++report.host_cache_hits;
+  ++report.subgroups_processed;
+}
 
 std::unique_ptr<Engine> make_engine(const EngineContext& ctx,
                                     const EngineOptions& opts,

@@ -1,13 +1,29 @@
-// The unified optimizer-update engine interface.
+// The unified optimizer-update engine: one base class, three data-movement
+// models.
 //
-// Three engines implement it:
-//   * OffloadEngine    — the MLP-Offload pipeline (paper §3.4, Alg. 1) and,
-//                        under the "deepspeed_zero3" preset, the DeepSpeed
-//                        ZeRO-3 + DeepNVMe baseline;
+// The Engine base owns everything the three engines do the same way, so
+// one module decides how an optimizer step is computed and charged:
+//   * the context, options and shard layout, and their accessors;
+//   * the subgroups (identity = the layout's global id) and the host FP16
+//     gradient accumulation buffer;
+//   * deterministic parameter init and the initialize-once contract;
+//   * the gradient deposit body: generate FP16 gradients, then store or
+//     accumulate them (the caller supplies the scratch);
+//   * the charged update step: upscale + conversion charge, Adam, and the
+//     residual cpu_update_rate budget, which is the compute time reported;
+//   * the "t<tenant>/" storage-key prefix, the scalar option and context
+//     checks, and the per-subgroup trace -> IterationReport fold.
+//
+// Each engine implements only where the state lives and how it moves:
+//   * OffloadEngine    — the MLP-Offload pipeline (paper §3.4, Alg. 1:
+//                        prefetch, host cache, lazy flush) and, under the
+//                        "deepspeed_zero3" preset, the DeepSpeed ZeRO-3 +
+//                        DeepNVMe baseline;
 //   * CpuOnlyEngine    — host-memory-resident update, the paper's "20B CPU"
 //                        reference (Fig. 3);
 //   * TensorNvmeEngine — the TensorNVMe/Colossal-AI integration facade
-//                        (paper §3.5) over per-path DiskOffloaders.
+//                        (paper §3.5): per-tensor round-trips through one
+//                        DiskOffloader per path.
 // Worker, Trainer, Checkpoint, and the bench harness consume the interface
 // polymorphically; make_engine() selects the implementation by name.
 //
@@ -16,6 +32,7 @@
 // presets bundle policy selections the paper's ablations compare.
 #pragma once
 
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,6 +40,7 @@
 
 #include "telemetry/iteration_report.hpp"
 #include "train/adam.hpp"
+#include "train/grad_accum.hpp"
 #include "train/grad_source.hpp"
 #include "train/mixed_precision.hpp"
 #include "train/sharding.hpp"
@@ -91,14 +109,14 @@ struct EngineOptions {
   /// cache, and prefetch_ahead == 0 with an empty host cache (a pipeline
   /// with neither overlap nor reuse) is rejected.
   void validate() const;
-  /// The same checks against an already-constructed order policy —
-  /// engines that just built their policy members call this so a single
-  /// construction does not resolve each policy name twice.
-  void validate_resolved(const UpdateOrderPolicy& order) const;
-  /// Just the scalar checks (cpu_update_rate, elem_scale) — for engines
-  /// with no host cache or prefetch pipeline (cpu_only, tensor_nvme),
-  /// where the cache/prefetch invariants do not apply.
+  /// Just the scalar checks (cpu_update_rate, elem_scale). The Engine
+  /// base runs these for every engine; messages start "EngineOptions:".
   void validate_common() const;
+  /// The cache/prefetch checks against an already-constructed order
+  /// policy — OffloadEngine, the one engine with a host cache and a
+  /// prefetch pipeline, calls this so a single construction does not
+  /// resolve each policy name twice.
+  void validate_resolved(const UpdateOrderPolicy& order) const;
 
   /// Named preset bundles (the paper's ablation steps as policy bundles):
   ///   "deepspeed_zero3"    all principles off (ZeRO-3 + DeepNVMe baseline)
@@ -146,10 +164,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Create this shard's subgroups (deterministic parameter init, zero
-  /// moments) and distribute them per the engine's storage model. Must be
-  /// called once before training.
-  virtual void initialize() = 0;
+  /// Give every subgroup its deterministic initial parameters (zero
+  /// moments) and hand each to the engine's storage model. Must be called
+  /// once before training; a second call throws std::logic_error.
+  void initialize();
 
   /// Deposit one subgroup's FP16 gradients for micro-step `sample_index`
   /// (globally unique across iterations x accumulation steps).
@@ -161,20 +179,24 @@ class Engine {
   virtual void wait_gradient_io() = 0;
 
   /// The update phase: apply one optimizer step to every subgroup,
-  /// instrumented. `iteration` feeds the update-order policy.
-  virtual IterationReport run_update(u64 iteration) = 0;
+  /// instrumented. `iteration` feeds the update-order policy. Throws
+  /// std::logic_error before initialize().
+  IterationReport run_update(u64 iteration);
 
-  virtual const ShardLayout& layout() const = 0;
-  virtual u32 num_subgroups() const = 0;
+  const ShardLayout& layout() const { return layout_; }
+  u32 num_subgroups() const { return static_cast<u32>(subgroups_.size()); }
+  const EngineOptions& options() const { return opts_; }
 
   /// Read access to subgroup state wherever it currently lives (host or
-  /// tier; tier-resident state is read untimed). For tests/inspection.
-  virtual Subgroup snapshot_subgroup(u32 id) const = 0;
+  /// tier; tier-resident state is read untimed). For tests/inspection. The
+  /// base reads the host copies, which is right for engines that keep them
+  /// authoritative; OffloadEngine overrides this and state_checksum().
+  virtual Subgroup snapshot_subgroup(u32 id) const;
 
   /// Order-independent digest of the entire shard's optimizer state. Equal
   /// digests <=> bitwise-equal training state; used to prove placement and
   /// ordering policies do not change results.
-  virtual u64 state_checksum() const = 0;
+  virtual u64 state_checksum() const;
 
   /// Where the optimizer state currently lives (Fig. 10).
   struct Distribution {
@@ -194,28 +216,74 @@ class Engine {
   /// restore). The restored image becomes the authoritative copy.
   virtual void restore_state(u32 id, std::span<const u8> serialized) = 0;
 
-  virtual const SimClock& clock() const = 0;
-  virtual int rank() const = 0;
+  const SimClock& clock() const { return *ctx_.clock; }
+  int rank() const { return ctx_.rank; }
 
   /// The scheduler this engine's traffic flows through, or nullptr for
   /// engines with no third-level I/O (checkpoint helpers then write the
   /// store directly).
-  virtual IoScheduler* io() const = 0;
+  IoScheduler* io() const { return ctx_.io; }
 
   /// Tenant id the engine stamps on its IoRequests (EngineContext::tenant).
   /// Checkpoint helpers use this so their store traffic rides the same
   /// fair-share bucket as the engine that owns the state.
-  virtual u32 tenant() const { return 0; }
+  u32 tenant() const { return ctx_.tenant; }
 
  protected:
-  Engine() = default;
+  /// Runs validate_common(), requires ctx.clock and ctx.grads, and builds
+  /// one Subgroup (identity = the layout's global id) and one gradient
+  /// accumulation buffer per layout entry.
+  Engine(const EngineContext& ctx, const EngineOptions& opts,
+         const ShardLayout& layout);
+
+  /// initialize() calls this right after local subgroup `id` got its
+  /// initial parameters. A valid returned future is awaited before
+  /// initialize() returns.
+  virtual std::future<void> store_initial_state(u32 id) = 0;
+
+  /// run_update()'s body: move each subgroup's state to the host, call
+  /// update_subgroup(), move it back, and fold_trace() each subgroup.
+  /// run_update() sets the iteration, params_updated and update_seconds.
+  virtual void update_phase(u64 iteration, IterationReport& report) = 0;
+
+  /// `key` in this engine's storage namespace: co-tenants on a shared
+  /// VirtualTier reuse the same ranks, so tenants other than 0 get a
+  /// "t<tenant>/" prefix; tenant 0 keeps the unprefixed keys.
+  std::string tenant_key(std::string key) const;
+
+  /// Generate local subgroup `id`'s FP16 gradients for `sample_index` into
+  /// `scratch` (sized to the subgroup's real elements), then store them
+  /// (first micro-step) or add them into the accumulation buffer.
+  void deposit_fp16(u64 sample_index, u32 id, bool first_micro_step,
+                    std::span<u16> scratch);
+
+  /// One charged optimizer step of local subgroup `id` (Alg. 1 l.6-7):
+  /// with `upscale`, convert the accumulated FP16 gradients into
+  /// `grads_fp32` and charge the conversion; otherwise `grads_fp32`
+  /// already holds them. Then Adam, and a sleep for whatever of the
+  /// cpu_update_rate budget the real kernels did not use. Returns that
+  /// budget, the compute time every engine reports.
+  f64 update_subgroup(u32 id, std::vector<f32>& grads_fp32, bool upscale);
+
+  /// Append `trace` to `report` and add its bytes, times, cache hit and
+  /// subgroup count to the report's totals.
+  static void fold_trace(IterationReport& report, const SubgroupTrace& trace);
+
+  EngineContext ctx_;
+  EngineOptions opts_;
+  ShardLayout layout_;
+  std::vector<std::unique_ptr<Subgroup>> subgroups_;
+  std::unique_ptr<GradAccumulator> accum_;
+
+ private:
+  bool initialized_ = false;
 };
 
-/// Build the engine implementation selected by `opts.engine`. Each
-/// engine's constructor runs the strict option validation relevant to it
-/// (offload checks the full EngineOptions contract; cpu_only and
-/// tensor_nvme, which have no host cache or prefetch pipeline, run
-/// validate_common()).
+/// Build the engine implementation selected by `opts.engine`. Every
+/// engine runs validate_common() and the clock/grads checks in the base
+/// constructor; offload adds the cache/prefetch contract
+/// (validate_resolved()), offload and tensor_nvme also require vtier and
+/// io.
 std::unique_ptr<Engine> make_engine(const EngineContext& ctx,
                                     const EngineOptions& opts,
                                     const ShardLayout& layout);

@@ -46,16 +46,14 @@ void fold_io_stats(IterationReport& report, const IoScheduler::Stats& start,
 OffloadEngine::OffloadEngine(const EngineContext& ctx,
                              const EngineOptions& opts,
                              const ShardLayout& layout)
-    : ctx_(ctx), opts_(opts), layout_(layout),
+    : Engine(ctx, opts, layout),
       placement_(make_placement_policy(opts.placement_policy)),
       order_policy_(make_update_order_policy(opts.update_order_policy)),
       use_host_cache_(order_policy_->uses_host_cache()),
       cache_(use_host_cache_ ? opts.host_cache_subgroups : 0) {
   opts_.validate_resolved(*order_policy_);
-  if (ctx_.clock == nullptr || ctx_.vtier == nullptr || ctx_.io == nullptr ||
-      ctx_.grads == nullptr) {
-    throw std::invalid_argument(
-        "OffloadEngine: clock, vtier, io, and grads are required");
+  if (ctx_.vtier == nullptr || ctx_.io == nullptr) {
+    throw std::invalid_argument("OffloadEngine: vtier and io are required");
   }
   if (ctx_.vtier->path_count() == 0) {
     throw std::invalid_argument("OffloadEngine: virtual tier has no paths");
@@ -72,20 +70,7 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
                   << "; the scheduler's setting governs tier locking";
   }
 
-  subgroups_.reserve(layout_.subgroup_sizes.size());
-  std::vector<u64> accum_elems;
-  accum_elems.reserve(layout_.subgroup_sizes.size());
-  for (std::size_t i = 0; i < layout_.subgroup_sizes.size(); ++i) {
-    // Subgroup identity is the layout's global id (== the local index for
-    // classic layouts): checkpoints and checksums stay comparable across
-    // elastic re-shards. Engine-internal indexing stays local throughout.
-    subgroups_.push_back(std::make_unique<Subgroup>(
-        layout_.global_id(static_cast<u32>(i)), layout_.subgroup_sizes[i],
-        opts_.elem_scale));
-    accum_elems.push_back(subgroups_.back()->real_elems());
-  }
   host_valid_.assign(subgroups_.size(), 0);
-  accum_ = std::make_unique<GradAccumulator>(accum_elems);
 
   // Staging slab sized for 16 worst-case subgroup images: comfortably more
   // than the prefetch window + in-flight flush budget of the update
@@ -121,18 +106,12 @@ OffloadEngine::~OffloadEngine() {
 }
 
 std::string OffloadEngine::state_key(u32 id) const {
-  // Tenant 0 keeps the historical unprefixed keys so single-job runs stay
-  // bit-identical; co-tenants on a shared VirtualTier get their own key
-  // namespace (two jobs reuse the same ranks).
-  if (ctx_.tenant == 0) return Subgroup::key(ctx_.rank, id);
-  return "t" + std::to_string(ctx_.tenant) + "/" + Subgroup::key(ctx_.rank, id);
+  return tenant_key(Subgroup::key(ctx_.rank, id));
 }
 
 std::string OffloadEngine::grad_key(u32 id) const {
-  std::string key =
-      "grad/" + std::to_string(ctx_.rank) + "/" + std::to_string(id);
-  if (ctx_.tenant == 0) return key;
-  return "t" + std::to_string(ctx_.tenant) + "/" + key;
+  return tenant_key("grad/" + std::to_string(ctx_.rank) + "/" +
+                    std::to_string(id));
 }
 
 void OffloadEngine::reset_slots(u32 n) {
@@ -162,42 +141,31 @@ void OffloadEngine::poison_host_state(Subgroup& sg) {
   for (auto& v : sg.variance()) v = nan;
 }
 
-void OffloadEngine::initialize() {
-  if (initialized_) throw std::logic_error("OffloadEngine: double initialize");
-  IoBatch batch;
-  for (u32 id = 0; id < num_subgroups(); ++id) {
-    Subgroup& sg = *subgroups_[id];
-    // Content is keyed on the world-size-independent identity (canonical
-    // rank + global id for elastic layouts), so elastic restarts train on
-    // bit-identical state; storage keys and policy slots stay local.
-    Subgroup::deterministic_param_init(layout_.content_rank(), sg.id(),
-                                       sg.params());
-    const std::size_t path = placement_->path_for(id);
-    // Pooled staging: acquire may block once >16 writes are in flight, but
-    // the channel threads drain independently of this submitter, so the
-    // backpressure resolves itself.
-    auto buf = std::make_shared<BufferPool::Lease>(
-        scratch_->acquire(sg.serialized_bytes()));
-    sg.serialize(buf->bytes());
-    poison_host_state(sg);
-    const u64 sim = sg.sim_state_bytes();
+std::future<void> OffloadEngine::store_initial_state(u32 id) {
+  Subgroup& sg = *subgroups_[id];
+  const std::size_t path = placement_->path_for(id);
+  // Pooled staging: acquire may block once >16 writes are in flight, but
+  // the channel threads drain independently of this submitter, so the
+  // backpressure resolves itself.
+  auto buf = std::make_shared<BufferPool::Lease>(
+      scratch_->acquire(sg.serialized_bytes()));
+  sg.serialize(buf->bytes());
+  poison_host_state(sg);
+  const u64 sim = sg.sim_state_bytes();
 
-    IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
-                                          IoPriority::kCheckpoint);
-    req.work = [buf, sim, key = req.key](IoChannel& chan) -> u64 {
-      chan.write(key, buf->bytes(), sim);
-      return sim;
-    };
-    batch.add(submit_io(std::move(req)));
-  }
-  batch.wait_all();
-  initialized_ = true;
+  IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
+                                        IoPriority::kCheckpoint);
+  req.work = [buf, sim, key = req.key](IoChannel& chan) -> u64 {
+    chan.write(key, buf->bytes(), sim);
+    return sim;
+  };
+  return submit_io(std::move(req));
 }
 
 void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
                                             bool first_micro_step,
                                             bool final_micro_step) {
-  Subgroup& sg = *subgroups_.at(subgroup_id);
+  const Subgroup& sg = *subgroups_.at(subgroup_id);
   const u64 sim_params = sg.sim_params();
   const u64 real_elems = sg.real_elems();
 
@@ -210,19 +178,11 @@ void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
       -> u64 {
     // (a) D2H transfer of the FP16 gradients produced on the GPU.
     link.transfer(sim_params * kFp16Bytes);
+    // Only the link occupancy and per-deposit bookkeeping are serial
+    // here, which matches a PCIe link's serial nature.
     BufferPool::Lease grad_lease = scratch_->acquire(real_elems * sizeof(u16));
-    const std::span<u16> grads = grad_lease.as<u16>();
-    ctx_.grads->generate_fp16(layout_.content_rank(),
-                              layout_.global_id(subgroup_id), sample_index,
-                              grads);
-    // Accumulation fans out through the CPU pool internally; only the
-    // link occupancy and per-deposit bookkeeping are serial here, which
-    // matches a PCIe link's serial nature.
-    if (first_micro_step) {
-      accum_->store(subgroup_id, grads);
-    } else {
-      accum_->accumulate(subgroup_id, grads, ctx_.cpu_pool);
-    }
+    deposit_fp16(sample_index, subgroup_id, first_micro_step,
+                 grad_lease.as<u16>());
 
     // (b)+(c) Baseline path only: upscale to FP32 on the host and flush the
     // FP32 gradients to third-level storage during the backward pass.
@@ -334,23 +294,7 @@ std::future<void> OffloadEngine::flush_subgroup_async(
   return submit_io(std::move(req));
 }
 
-f64 OffloadEngine::charge_update_compute(u64 sim_params,
-                                         f64 real_kernel_vseconds) {
-  const f64 budget = static_cast<f64>(sim_params) / opts_.cpu_update_rate;
-  if (budget > real_kernel_vseconds) {
-    ctx_.clock->sleep_for(budget - real_kernel_vseconds);
-  }
-  // Accounting uses the calibrated cost model: wall-clock noise from the
-  // emulation host (scheduler preemption amplified by the time scale) stays
-  // in the phase wall time instead of being misattributed to compute.
-  return budget;
-}
-
-IterationReport OffloadEngine::run_update(u64 iteration) {
-  if (!initialized_) {
-    throw std::logic_error("OffloadEngine: run_update before initialize");
-  }
-  const f64 phase_start = ctx_.clock->now();
+void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
   const IoScheduler::Stats io_stats_start = ctx_.io->tenant_stats(ctx_.tenant);
   const u32 n = num_subgroups();
 
@@ -398,8 +342,6 @@ IterationReport OffloadEngine::run_update(u64 iteration) {
   while (next_issue < n && next_issue < window) issue(next_issue++);
 
   IoBatch h2d_batch;
-  IterationReport report;
-  report.iteration = iteration;
 
   // Exception safety: fetch/flush tasks capture pointers into `slots` and
   // `traces`. If the pipeline throws we must drain every outstanding task
@@ -443,7 +385,6 @@ IterationReport OffloadEngine::run_update(u64 iteration) {
             "OffloadEngine: cached subgroup evicted before use");
       }
       trace.host_cache_hit = true;
-      ++report.host_cache_hits;
       if (!opts_.delayed_grad_conversion) {
         // The optimizer state was cached, but the baseline gradient path
         // flushed this subgroup's FP32 gradients to storage during the
@@ -478,23 +419,10 @@ IterationReport OffloadEngine::run_update(u64 iteration) {
       trace.sim_bytes_read = slot.fetch_sim_bytes;
     }
 
-    // Gradients: delayed in-place FP16->FP32 conversion (Alg. 1 l.6), or,
-    // for the baseline, the FP32 gradients arrived with the fetch.
-    SimTimer kernel_timer(*ctx_.clock);
-    if (opts_.delayed_grad_conversion) {
-      slot.grads_fp32.resize(sg.real_elems());
-      accum_->upscale_into(slot.id, slot.grads_fp32, ctx_.cpu_pool);
-      ctx_.clock->sleep_for(
-          opts_.convert.seconds_for_params(sg.sim_params()));
-    }
-
-    // cpu_update_kernel (Alg. 1 l.7): the real Adam math on the
-    // scale-reduced arrays, then the residual simulated compute charge.
-    sg.set_step(sg.step() + 1);
-    adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-                slot.grads_fp32, sg.step(), ctx_.cpu_pool);
-    trace.compute_seconds =
-        charge_update_compute(sg.sim_params(), kernel_timer.elapsed());
+    // Gradients: delayed in-place FP16->FP32 conversion, or, for the
+    // baseline, the FP32 gradients arrived with the fetch.
+    trace.compute_seconds = update_subgroup(slot.id, slot.grads_fp32,
+                                            opts_.delayed_grad_conversion);
 
     // async_h2d_transfer of the downscaled FP16 parameters (Alg. 1 l.8).
     // Only the link time is modelled; the GPU-side copy has no observable
@@ -542,19 +470,8 @@ IterationReport OffloadEngine::run_update(u64 iteration) {
     throw;
   }
 
-  report.subgroups_processed = n;
-  report.params_updated = layout_.shard_params;
   report.traces.reserve(n);
-  for (u32 pos = 0; pos < n; ++pos) {
-    const SubgroupTrace& t = traces[order[pos]];
-    report.traces.push_back(t);
-    report.sim_bytes_fetched += t.sim_bytes_read;
-    report.sim_bytes_flushed += t.sim_bytes_written;
-    report.fetch_seconds += t.read_seconds;
-    report.flush_seconds += t.write_seconds;
-    report.update_compute_seconds += t.compute_seconds;
-  }
-  report.update_seconds = ctx_.clock->now() - phase_start;
+  for (u32 pos = 0; pos < n; ++pos) fold_trace(report, traces[order[pos]]);
   fold_io_stats(report, io_stats_start, ctx_.io->tenant_stats(ctx_.tenant));
   // Delta since the previous update epilogue, so backward-phase deposit
   // churn lands in this iteration's report too.
@@ -563,7 +480,6 @@ IterationReport OffloadEngine::run_update(u64 iteration) {
   report.pool_heap_fallbacks =
       pool_now.heap_fallbacks - pool_mark_.heap_fallbacks;
   pool_mark_ = pool_now;
-  return report;
 }
 
 Subgroup OffloadEngine::snapshot_subgroup(u32 id) const {
@@ -583,6 +499,7 @@ Subgroup OffloadEngine::snapshot_subgroup(u32 id) const {
 }
 
 u64 OffloadEngine::state_checksum() const {
+  // Host copies may be poisoned: read each subgroup where it lives.
   u64 sum = 0;
   for (u32 id = 0; id < num_subgroups(); ++id) {
     sum += snapshot_subgroup(id).checksum();  // commutative on purpose

@@ -26,7 +26,6 @@
 #include "policy/placement_policy.hpp"
 #include "policy/update_order_policy.hpp"
 #include "tiers/virtual_tier.hpp"
-#include "train/grad_accum.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace mlpo {
@@ -37,8 +36,6 @@ class OffloadEngine final : public Engine {
                 const ShardLayout& layout);
   ~OffloadEngine() override;
 
-  void initialize() override;
-
   /// Deposit one subgroup's FP16 gradients. Runs asynchronously on the I/O
   /// engine: D2H transfer, host accumulation, and — when delayed
   /// conversion is off and this is the window's final micro-step — FP32
@@ -48,18 +45,6 @@ class OffloadEngine final : public Engine {
                                bool final_micro_step) override;
 
   void wait_gradient_io() override;
-
-  /// The update phase (Algorithm 1): prefetch, convert, CPU-Adam, H2D push
-  /// of FP16 params, tier reassignment, lazy flush — pipelined and
-  /// instrumented. `iteration` and the current host residency feed the
-  /// update-order policy.
-  IterationReport run_update(u64 iteration) override;
-
-  const ShardLayout& layout() const override { return layout_; }
-  u32 num_subgroups() const override {
-    return static_cast<u32>(subgroups_.size());
-  }
-  const EngineOptions& options() const { return opts_; }
 
   /// The placement policy steering this engine's subgroup -> path mapping.
   PlacementPolicy& placement() { return *placement_; }
@@ -74,19 +59,20 @@ class OffloadEngine final : public Engine {
   bool on_persistent_path(u32 id) const override;
   void restore_state(u32 id, std::span<const u8> serialized) override;
 
-  const SimClock& clock() const override { return *ctx_.clock; }
-  int rank() const override { return ctx_.rank; }
-  /// The scheduler all of this engine's traffic flows through (checkpoint
-  /// helpers ride the same queues at IoPriority::kCheckpoint).
-  IoScheduler* io() const override { return ctx_.io; }
-  u32 tenant() const override { return ctx_.tenant; }
-
   /// Cumulative staging-pool counters — the ground truth behind the
   /// alloc-churn metric (heap_fallbacks must stay zero in steady state).
   BufferPool::Stats scratch_stats() const { return scratch_->stats(); }
 
  private:
   struct UpdateSlot;
+
+  /// Serialize the initial state and write it to its placed path.
+  std::future<void> store_initial_state(u32 id) override;
+  /// The update phase (Algorithm 1): prefetch, convert, CPU-Adam, H2D push
+  /// of FP16 params, tier reassignment, lazy flush — pipelined and
+  /// instrumented. `iteration` and the current host residency feed the
+  /// update-order policy.
+  void update_phase(u64 iteration, IterationReport& report) override;
 
   std::string state_key(u32 id) const;
   std::string grad_key(u32 id) const;
@@ -102,20 +88,13 @@ class OffloadEngine final : public Engine {
   u64 fetch_subgroup(UpdateSlot& slot, IoChannel& chan);
   std::future<void> flush_subgroup_async(u32 id,
                                          std::vector<SubgroupTrace>* traces);
-  f64 charge_update_compute(u64 sim_params, f64 real_kernel_vseconds);
 
-  EngineContext ctx_;
-  EngineOptions opts_;
-  ShardLayout layout_;
   std::unique_ptr<PlacementPolicy> placement_;
   std::unique_ptr<UpdateOrderPolicy> order_policy_;
   bool use_host_cache_ = false;  ///< order policy runs the lazy-flush path
-  std::vector<std::unique_ptr<Subgroup>> subgroups_;
   std::vector<u8> host_valid_;  ///< per-subgroup: host copy authoritative
-  std::unique_ptr<GradAccumulator> accum_;
   HostCache cache_;
   IoBatch gradient_io_;
-  bool initialized_ = false;
 
   /// One slab behind every transient I/O-path buffer (fetch staging, flush
   /// serialization, deposit scratch): steady-state iterations suballocate

@@ -11,16 +11,13 @@ namespace mlpo {
 TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
                                    const EngineOptions& opts,
                                    const ShardLayout& layout)
-    : ctx_(ctx), opts_(opts), layout_(layout),
+    : Engine(ctx, opts, layout),
       placement_(make_placement_policy(opts.placement_policy)),
       order_policy_(make_update_order_policy(opts.update_order_policy)) {
-  // Scalar checks only: this engine has no host cache and no prefetch
-  // pipeline, so the cache/prefetch invariants do not apply to it.
-  opts_.validate_common();
-  if (ctx_.clock == nullptr || ctx_.vtier == nullptr || ctx_.io == nullptr ||
-      ctx_.grads == nullptr) {
-    throw std::invalid_argument(
-        "TensorNvmeEngine: clock, vtier, io, and grads are required");
+  // The base ran the scalar checks; this engine has no host cache and no
+  // prefetch pipeline, so the cache/prefetch invariants do not apply.
+  if (ctx_.vtier == nullptr || ctx_.io == nullptr) {
+    throw std::invalid_argument("TensorNvmeEngine: vtier and io are required");
   }
   if (ctx_.vtier->path_count() == 0) {
     throw std::invalid_argument("TensorNvmeEngine: virtual tier has no paths");
@@ -40,21 +37,12 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
         std::min(tier.read_bandwidth(), tier.write_bandwidth()));
   }
 
-  std::vector<u64> accum_elems;
-  for (std::size_t i = 0; i < layout_.subgroup_sizes.size(); ++i) {
-    // Subgroup identity is the layout's global id (== the local index for
-    // classic layouts) so state digests compare across elastic re-shards;
-    // engine-internal indexing stays local.
-    subgroups_.push_back(std::make_unique<Subgroup>(
-        layout_.global_id(static_cast<u32>(i)), layout_.subgroup_sizes[i],
-        opts_.elem_scale));
-    accum_elems.push_back(subgroups_.back()->real_elems());
-    staging_.emplace_back(subgroups_.back()->real_elems() * 3);
+  u64 max_elems = 1;
+  for (const auto& sg : subgroups_) {
+    staging_.emplace_back(sg->real_elems() * 3);
+    max_elems = std::max(max_elems, sg->real_elems());
   }
   stored_path_.assign(subgroups_.size(), 0);
-  accum_ = std::make_unique<GradAccumulator>(accum_elems);
-  u64 max_elems = 1;
-  for (const u64 e : accum_elems) max_elems = std::max(max_elems, e);
   grad_scratch_.reserve(max_elems);
   fp32_scratch_.reserve(max_elems);
 
@@ -67,12 +55,8 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
 }
 
 std::string TensorNvmeEngine::state_key(u32 id) const {
-  // Co-tenants on a shared VirtualTier get their own key namespace (two
-  // jobs reuse the same ranks); tenant 0 keeps the historical keys.
-  std::string key =
-      "tnvme/" + std::to_string(ctx_.rank) + "/" + std::to_string(id);
-  if (ctx_.tenant == 0) return key;
-  return "t" + std::to_string(ctx_.tenant) + "/" + key;
+  return tenant_key("tnvme/" + std::to_string(ctx_.rank) + "/" +
+                    std::to_string(id));
 }
 
 std::span<f32> TensorNvmeEngine::pack_staging(u32 id) {
@@ -99,32 +83,22 @@ std::future<void> TensorNvmeEngine::submit_io(IoRequest req) {
   return ctx_.io->submit(std::move(req));
 }
 
-void TensorNvmeEngine::write_through(u32 id) {
+std::future<void> TensorNvmeEngine::write_through(u32 id) {
   const std::size_t path = placement_->path_for(id);
-  offloaders_[path]->async_write(state_key(id), pack_staging(id),
-                                 subgroups_[id]->sim_state_bytes());
   stored_path_[id] = path;
+  return offloaders_[path]->async_write(state_key(id), pack_staging(id),
+                                        subgroups_[id]->sim_state_bytes());
 }
 
-void TensorNvmeEngine::initialize() {
-  if (initialized_) {
-    throw std::logic_error("TensorNvmeEngine: double initialize");
-  }
-  for (u32 id = 0; id < num_subgroups(); ++id) {
-    Subgroup& sg = *subgroups_[id];
-    Subgroup::deterministic_param_init(layout_.content_rank(), sg.id(),
-                                       sg.params());
-    write_through(id);
-  }
-  for (auto& off : offloaders_) off->synchronize();
-  initialized_ = true;
+std::future<void> TensorNvmeEngine::store_initial_state(u32 id) {
+  return write_through(id);
 }
 
 void TensorNvmeEngine::deposit_gradients_async(u64 sample_index,
                                                u32 subgroup_id,
                                                bool first_micro_step,
                                                bool /*final_micro_step*/) {
-  Subgroup& sg = *subgroups_.at(subgroup_id);
+  const Subgroup& sg = *subgroups_.at(subgroup_id);
   const u64 sim_params = sg.sim_params();
   const u64 real_elems = sg.real_elems();
   // FP16 gradients stream over the D2H link and accumulate on the host —
@@ -138,14 +112,7 @@ void TensorNvmeEngine::deposit_gradients_async(u64 sample_index,
     // Member scratch is safe here: all deposit work functions dispatch on
     // the one D2H link channel, so they are serial per engine.
     grad_scratch_.resize(real_elems);
-    ctx_.grads->generate_fp16(layout_.content_rank(),
-                              layout_.global_id(subgroup_id), sample_index,
-                              grad_scratch_);
-    if (first_micro_step) {
-      accum_->store(subgroup_id, grad_scratch_);
-    } else {
-      accum_->accumulate(subgroup_id, grad_scratch_, ctx_.cpu_pool);
-    }
+    deposit_fp16(sample_index, subgroup_id, first_micro_step, grad_scratch_);
     return sim_params * kFp16Bytes;
   };
   gradient_io_.add(submit_io(std::move(req)));
@@ -153,19 +120,11 @@ void TensorNvmeEngine::deposit_gradients_async(u64 sample_index,
 
 void TensorNvmeEngine::wait_gradient_io() { gradient_io_.wait_all(); }
 
-IterationReport TensorNvmeEngine::run_update(u64 iteration) {
-  if (!initialized_) {
-    throw std::logic_error("TensorNvmeEngine: run_update before initialize");
-  }
-  const f64 phase_start = ctx_.clock->now();
+void TensorNvmeEngine::update_phase(u64 iteration, IterationReport& report) {
   const u32 n = num_subgroups();
   placement_->rebalance();
   const std::vector<u32> order = order_policy_->order(n, iteration, {});
   validate_order_permutation(order, n, order_policy_->name());
-
-  IterationReport report;
-  report.iteration = iteration;
-  std::vector<f32>& grads_fp32 = fp32_scratch_;
 
   for (const u32 id : order) {
     Subgroup& sg = *subgroups_[id];
@@ -185,19 +144,7 @@ IterationReport TensorNvmeEngine::run_update(u64 iteration) {
       trace.sim_bytes_read = sg.sim_state_bytes();
     }
 
-    SimTimer kernel_timer(*ctx_.clock);
-    grads_fp32.resize(sg.real_elems());
-    accum_->upscale_into(id, grads_fp32, ctx_.cpu_pool);
-    ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
-
-    sg.set_step(sg.step() + 1);
-    adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-                grads_fp32, sg.step(), ctx_.cpu_pool);
-    const f64 budget =
-        static_cast<f64>(sg.sim_params()) / opts_.cpu_update_rate;
-    const f64 real = kernel_timer.elapsed();
-    if (budget > real) ctx_.clock->sleep_for(budget - real);
-    trace.compute_seconds = budget;
+    trace.compute_seconds = update_subgroup(id, fp32_scratch_, true);
 
     // H2D push of the updated FP16 parameters, then asynchronous
     // write-back through the offloader (drained at the phase barrier) —
@@ -212,28 +159,13 @@ IterationReport TensorNvmeEngine::run_update(u64 iteration) {
     write_through(id);
     trace.sim_bytes_written = sg.sim_state_bytes();
 
-    report.traces.push_back(trace);
-    report.sim_bytes_fetched += trace.sim_bytes_read;
-    report.sim_bytes_flushed += trace.sim_bytes_written;
-    report.fetch_seconds += trace.read_seconds;
-    report.update_compute_seconds += trace.compute_seconds;
-    ++report.subgroups_processed;
+    fold_trace(report, trace);
   }
 
-  {
-    SimTimer flush_timer(*ctx_.clock);
-    for (auto& off : offloaders_) off->synchronize();
-    report.flush_seconds = flush_timer.elapsed();
-  }
-  report.params_updated = layout_.shard_params;
-  report.update_seconds = ctx_.clock->now() - phase_start;
-  return report;
-}
-
-u64 TensorNvmeEngine::state_checksum() const {
-  u64 sum = 0;
-  for (const auto& sg : subgroups_) sum += sg->checksum();
-  return sum;
+  // The write-backs are not traced per subgroup: their time is the drain.
+  SimTimer flush_timer(*ctx_.clock);
+  for (auto& off : offloaders_) off->synchronize();
+  report.flush_seconds += flush_timer.elapsed();
 }
 
 Engine::Distribution TensorNvmeEngine::distribution() const {

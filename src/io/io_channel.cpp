@@ -2,7 +2,19 @@
 
 #include <stdexcept>
 
+#include "tiers/tier_lock.hpp"
+#include "util/rate_limiter.hpp"
+
 namespace mlpo {
+
+class IoChannel::Lease {
+ public:
+  Lease() = default;
+  explicit Lease(TierLock::Guard guard) : guard_(std::move(guard)) {}
+
+ private:
+  TierLock::Guard guard_;
+};
 
 IoChannel::IoChannel(VirtualTier& vtier, std::size_t path_idx, IoOp op,
                      bool exclusive, int worker_id)
@@ -16,12 +28,12 @@ IoChannel::IoChannel(std::string name, RateLimiter* limiter)
 
 IoChannel::IoChannel(std::string name) : name_(std::move(name)) {}
 
-IoChannel::Lease IoChannel::lease() {
-  if (vtier_ == nullptr || !exclusive_) return Lease{};
+std::shared_ptr<IoChannel::Lease> IoChannel::lease() {
+  if (vtier_ == nullptr || !exclusive_) return std::make_shared<Lease>();
   TierLock* lock = op_ == IoOp::kRead ? vtier_->path_read_lock(path_idx_)
                                       : vtier_->path_write_lock(path_idx_);
-  if (lock == nullptr) return Lease{};
-  return Lease{lock->lock(worker_id_)};
+  if (lock == nullptr) return std::make_shared<Lease>();
+  return std::make_shared<Lease>(lock->lock(worker_id_));
 }
 
 void IoChannel::read(const std::string& key, std::span<u8> out,

@@ -17,15 +17,16 @@
 //     their own StorageTier.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 
 #include "io/io_request.hpp"
-#include "tiers/tier_lock.hpp"
 #include "tiers/virtual_tier.hpp"
-#include "util/rate_limiter.hpp"
 
 namespace mlpo {
+
+class RateLimiter;
 
 class IoChannel {
  public:
@@ -45,23 +46,16 @@ class IoChannel {
   bool is_tier_channel() const { return vtier_ != nullptr; }
   std::size_t path_index() const { return path_idx_; }
 
-  /// RAII dispatch-scope lock share. Movable; empty for link/external
-  /// channels or when exclusive locking is disabled.
-  class Lease {
-   public:
-    Lease() = default;
-    explicit Lease(TierLock::Guard guard) : guard_(std::move(guard)) {}
-    Lease(Lease&&) = default;
-    Lease& operator=(Lease&&) = default;
-
-   private:
-    TierLock::Guard guard_;
-  };
+  /// Dispatch-scope lock share, defined in io_channel.cpp so the lock type
+  /// stays out of this header. Empty for link/external channels or when
+  /// exclusive locking is disabled.
+  class Lease;
 
   /// Acquire this channel's direction lock (blocking; re-entrant for the
-  /// owning worker). The scheduler takes one lease per dispatch batch so a
-  /// batch of coalesced small transfers pays the lock hand-off once.
-  Lease lease();
+  /// owning worker); never null. The lock is released when the last
+  /// holder drops it. The scheduler takes one lease per dispatch batch so
+  /// a batch of coalesced small transfers pays the lock hand-off once.
+  std::shared_ptr<Lease> lease();
 
   // --- Tier-channel operations (call only from a dispatch context) ------
 

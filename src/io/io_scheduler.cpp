@@ -6,6 +6,7 @@
 
 #include "tiers/failstop_tier.hpp"
 #include "tiers/storage_tier.hpp"
+#include "util/rate_limiter.hpp"
 
 namespace mlpo {
 
@@ -447,7 +448,7 @@ void IoScheduler::run_batch(ChannelQueue& q,
                    " fail-stopped while \"" + p->req.key + "\" queued")));
       continue;
     }
-    if (!lease) lease = std::make_shared<IoChannel::Lease>(q.channel.lease());
+    if (!lease) lease = q.channel.lease();
 
     // Async dispatch: when the backing tier settles on real device events,
     // hand the transfer to its completion engine and move on — the request

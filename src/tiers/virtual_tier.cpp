@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tiers/tier_lock.hpp"
+
 namespace mlpo {
 
 std::size_t VirtualTier::add_path(std::shared_ptr<StorageTier> tier,

@@ -14,10 +14,11 @@
 #include <vector>
 
 #include "tiers/storage_tier.hpp"
-#include "tiers/tier_lock.hpp"
 #include "util/mutex.hpp"
 
 namespace mlpo {
+
+class TierLock;
 
 class VirtualTier {
  public:

@@ -1,10 +1,14 @@
 // OffloadEngine: initialization/distribution, the update pipeline, caching
 // behaviour, numerical correctness against a hand-rolled reference, and
-// option validation.
+// option validation — plus the Engine base's contract (context and scalar
+// option checks, charged compute, local trace ids), pinned once for every
+// engine kind through make_engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/offload_engine.hpp"
 #include "tiers/memory_tier.hpp"
@@ -22,13 +26,13 @@ constexpr u32 kNumSubgroups = 8;
 // The scheduler is built after the paths exist (it spawns one dispatch
 // channel per path direction at construction).
 struct EngineRig {
-  SimClock clock{20000.0};
+  SimClock clock;
   VirtualTier vtier;
   GradSource grads;
   std::unique_ptr<IoScheduler> io;
   std::unique_ptr<IoScheduler> io_unlocked;
 
-  EngineRig() {
+  explicit EngineRig(f64 time_scale = 20000.0) : clock(time_scale) {
     ThrottleSpec nvme_spec{/*read_bw=*/4e6, /*write_bw=*/3e6};
     nvme_spec.chunk_bytes = 16 * KiB;
     vtier.add_path(std::make_shared<ThrottledTier>(
@@ -85,15 +89,91 @@ struct EngineRig {
   }
 };
 
-TEST(OffloadEngine, RequiresContextPieces) {
+// The Engine base's contract, once per engine kind.
+class EveryEngineKind : public ::testing::TestWithParam<std::string> {
+ protected:
+  EngineOptions options() const {
+    EngineOptions opts = EngineRig::fast_options(EngineOptions::mlp_offload());
+    opts.engine = GetParam();
+    return opts;
+  }
+};
+
+TEST_P(EveryEngineKind, RequiresContextPieces) {
   EngineRig rig;
-  EngineContext broken = rig.context();
-  broken.vtier = nullptr;
-  EXPECT_THROW(
-      OffloadEngine(broken, EngineRig::fast_options(EngineOptions::mlp_offload()),
-                    EngineRig::layout()),
-      std::invalid_argument);
+  EngineContext no_clock = rig.context();
+  no_clock.clock = nullptr;
+  EXPECT_THROW(make_engine(no_clock, options(), EngineRig::layout()),
+               std::invalid_argument);
+  EngineContext no_grads = rig.context();
+  no_grads.grads = nullptr;
+  EXPECT_THROW(make_engine(no_grads, options(), EngineRig::layout()),
+               std::invalid_argument);
+  if (GetParam() != "cpu_only") {  // the two offloading engines need storage
+    EngineContext no_vtier = rig.context();
+    no_vtier.vtier = nullptr;
+    EXPECT_THROW(make_engine(no_vtier, options(), EngineRig::layout()),
+                 std::invalid_argument);
+  }
 }
+
+TEST_P(EveryEngineKind, RejectsBadScalarOptions) {
+  EngineRig rig;
+  const auto expect_rejected = [&](const EngineOptions& opts) {
+    EXPECT_THROW(opts.validate(), std::invalid_argument);
+    try {
+      make_engine(rig.context(), opts, EngineRig::layout());
+      ADD_FAILURE() << "make_engine accepted a bad scalar option";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("EngineOptions:", 0), 0u)
+          << e.what();
+    }
+  };
+  EngineOptions opts = options();
+  opts.elem_scale = 0;
+  expect_rejected(opts);
+  opts = options();
+  opts.cpu_update_rate = 0;
+  expect_rejected(opts);
+  opts.cpu_update_rate = -5;
+  expect_rejected(opts);
+}
+
+TEST_P(EveryEngineKind, ReportsChargedComputeBudgetWithLocalIds) {
+  // At 1e6 virtual seconds per real second, any real kernel time dwarfs
+  // the cpu_update_rate budget: an engine that reported max(budget, real)
+  // would count host wall-clock noise as compute. Rank 1 of an elastic
+  // split owns global ids that differ from its local ones, so the traces
+  // show which of the two an engine labels them with.
+  EngineRig rig(1e6);
+  const ShardLayout layout = make_elastic_shard_layout(
+      kSubgroupParams * kNumSubgroups, 2, 1, kSubgroupParams);
+  ASSERT_NE(layout.global_id(0), 0u);
+  const EngineOptions opts = options();
+  const auto engine = make_engine(rig.context(/*rank=*/1), opts, layout);
+  engine->initialize();
+  for (u32 id = 0; id < engine->num_subgroups(); ++id) {
+    engine->deposit_gradients_async(0, id, true, true);
+  }
+  engine->wait_gradient_io();
+  const IterationReport report = engine->run_update(0);
+
+  f64 budget = 0;
+  for (const u64 params : layout.subgroup_sizes) {
+    budget += static_cast<f64>(params) / opts.cpu_update_rate;
+  }
+  EXPECT_NEAR(report.update_compute_seconds, budget, 1e-9 * budget);
+  std::vector<u32> ids;
+  for (const SubgroupTrace& t : report.traces) ids.push_back(t.subgroup_id);
+  std::sort(ids.begin(), ids.end());
+  std::vector<u32> local(layout.num_subgroups());
+  std::iota(local.begin(), local.end(), 0u);
+  EXPECT_EQ(ids, local);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, EveryEngineKind,
+                         ::testing::ValuesIn(engine_kind_names()),
+                         [](const auto& info) { return info.param; });
 
 TEST(OffloadEngine, RejectsUnsafeCacheDepth) {
   EngineRig rig;

@@ -275,20 +275,6 @@ TEST(EnginePresets, BundlesMatchThePaperAblationSteps) {
   EXPECT_EQ(EngineOptions::preset("tensor_nvme").engine, "tensor_nvme");
 }
 
-TEST(EngineOptionsValidation, RejectsNonPositiveRates) {
-  EngineOptions opts;
-  opts.cpu_update_rate = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts.cpu_update_rate = -5;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
-TEST(EngineOptionsValidation, RejectsZeroElemScale) {
-  EngineOptions opts;
-  opts.elem_scale = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
 TEST(EngineOptionsValidation, RejectsCacheOrderWithEmptyCache) {
   EngineOptions opts;  // alternating_cache_friendly by default
   opts.host_cache_subgroups = 0;

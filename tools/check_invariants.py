@@ -39,12 +39,24 @@ Checked invariants:
      0x945ADD822FA0E79A instead of 0x8DF84728196E0BCD (equivalence_test's
      engine digests broke too). A kernel moved to a new file without the
      flag would pass on a CPU without FMA and break on one with it.
-  8. No file under src/core/ includes util/rate_limiter.hpp or
-     tiers/tier_lock.hpp. Engines never touch a TierLock or a RateLimiter:
-     every tier and link transfer goes through the IoScheduler, whose
-     channels hold the locks and limiters (the contract src/core/engine.hpp
-     states). An engine that charged a limiter itself would bypass the
-     scheduler's priorities, fair share and per-priority telemetry.
+  8. No file under src/core/ reaches util/rate_limiter.hpp or
+     tiers/tier_lock.hpp, directly or through any chain of src/ includes.
+     Engines never touch a TierLock or a RateLimiter: every tier and link
+     transfer goes through the IoScheduler, whose channels hold the locks
+     and limiters (the contract src/core/engine.hpp states). An engine that
+     charged a limiter itself would bypass the scheduler's priorities, fair
+     share and per-priority telemetry. The walk is transitive because a
+     chain such as io_scheduler.hpp -> io_channel.hpp would hand an engine
+     the RateLimiter type while every direct include looks clean; headers
+     that only pass a pointer forward-declare the type instead.
+  9. Within src/core/, only the Engine base TU (core/engine.cpp) calls
+     adam_update, GradSource::generate_fp16 or
+     Subgroup::deterministic_param_init, or builds the "t<tenant>/" key
+     prefix, and it holds each exactly once. One module then decides how
+     an optimizer step is computed and charged: per-engine copies of this
+     code drift apart (one copy reported host wall-clock noise as compute
+     and labelled traces with global subgroup ids), and a second copy
+     fails here.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -163,18 +175,85 @@ def check_header_includers() -> None:
 ENGINE_FORBIDDEN_INCLUDES = ("util/rate_limiter.hpp", "tiers/tier_lock.hpp")
 
 
+def include_chain(path: Path, target: str) -> list[str] | None:
+    """Shortest chain of src/ includes from `path` to `target`, or None.
+
+    Includes resolve against src/ (the library's include root); system
+    headers and names that are not files under src/ end the walk.
+    """
+    src = REPO / "src"
+    seen: set[str] = set()
+    frontier: list[tuple[Path, list[str]]] = [(path, [])]
+    while frontier:
+        nxt: list[tuple[Path, list[str]]] = []
+        for cur, chain in frontier:
+            for inc in INCLUDE_RE.findall(cur.read_text()):
+                if inc == target:
+                    return chain + [inc]
+                header = src / inc
+                if inc in seen or not header.is_file():
+                    continue
+                seen.add(inc)
+                nxt.append((header, chain + [inc]))
+        frontier = nxt
+    return None
+
+
 def check_engine_io_contract() -> None:
     core = REPO / "src" / "core"
     for path in sorted(core.rglob("*")):
         if path.suffix not in (".hpp", ".cpp") or not path.is_file():
             continue
-        for inc in INCLUDE_RE.findall(path.read_text()):
-            if inc in ENGINE_FORBIDDEN_INCLUDES:
+        for target in ENGINE_FORBIDDEN_INCLUDES:
+            chain = include_chain(path, target)
+            if chain is not None:
                 fail(
-                    f"{path.relative_to(REPO).as_posix()} includes {inc} — "
-                    f"engines never touch a TierLock or a RateLimiter; "
-                    f"submit the transfer to the IoScheduler instead"
+                    f"{path.relative_to(REPO).as_posix()} reaches {target} "
+                    f"via {' -> '.join(chain)} — engines never touch a "
+                    f"TierLock or a RateLimiter; submit the transfer to the "
+                    f"IoScheduler instead, and forward-declare the type in "
+                    f"the header that exposes it"
                 )
+
+
+ENGINE_BASE_TU = "src/core/engine.cpp"
+# Call sites (and the tenant key prefix) that only the Engine base may hold.
+ENGINE_BASE_ONLY = {
+    "an adam_update call": re.compile(r"\badam_update\s*\("),
+    "a generate_fp16 call": re.compile(r"\bgenerate_fp16\s*\("),
+    "a deterministic_param_init call": re.compile(
+        r"\bdeterministic_param_init\s*\("),
+    "the \"t<tenant>/\" key prefix": re.compile(r'"t"\s*\+'),
+}
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+
+
+def check_engine_base_owns_the_step() -> None:
+    core = REPO / "src" / "core"
+    counts = dict.fromkeys(ENGINE_BASE_ONLY, 0)
+    for path in sorted(core.rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        code = COMMENT_RE.sub("", path.read_text())
+        for what, pattern in ENGINE_BASE_ONLY.items():
+            hits = len(pattern.findall(code))
+            if rel == ENGINE_BASE_TU:
+                counts[what] = hits
+            elif hits:
+                fail(
+                    f"{rel} holds {what} — within src/core/ only the "
+                    f"Engine base ({ENGINE_BASE_TU}) may; use its "
+                    f"deposit_fp16 / update_subgroup / initialize / "
+                    f"tenant_key instead"
+                )
+    for what, hits in counts.items():
+        if hits != 1:
+            fail(
+                f"{ENGINE_BASE_TU} holds {what} {hits} times, not once — "
+                f"either the Engine base grew a second copy or the check "
+                f"regressed"
+            )
 
 
 def check_tenancy_suites(cases: dict[str, dict]) -> None:
@@ -352,6 +431,7 @@ def main() -> int:
     check_storage_backend_coverage()
     check_kernel_dispatch()
     check_engine_io_contract()
+    check_engine_base_owns_the_step()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
