@@ -11,7 +11,7 @@
 //   * state checksum — must be bit-identical across all three (the
 //     simulator/system switch cannot change numerics; a mismatch throws
 //     and fails the case);
-//   * alloc churn — the engine staging pool's heap_fallbacks over the
+//   * alloc churn — the engine gradient pool's heap_fallbacks over the
 //     whole run. Deterministically zero on the steady-state I/O path, and
 //     smoke-gated at zero in bench/baselines/smoke.json;
 //   * model divergence — how far the placement policy's bandwidth EMA
@@ -57,7 +57,7 @@ struct BackendResult {
   u64 checksum = 0;
   f64 update_seconds = 0;   ///< virtual, averaged over measured iterations
   f64 wall_seconds = 0;     ///< real, whole run
-  u64 pool_acquires = 0;    ///< staging-pool leases over the whole run
+  u64 pool_acquires = 0;    ///< gradient-pool leases over the whole run
   u64 heap_fallbacks = 0;   ///< the alloc-churn metric (gated at zero)
   f64 divergence_pct = 0;   ///< max |EMA - nominal| / nominal over paths
 };

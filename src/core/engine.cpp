@@ -126,16 +126,30 @@ Engine::Engine(const EngineContext& ctx, const EngineOptions& opts,
     throw std::invalid_argument(
         "Engine: EngineContext clock and grads are required");
   }
-  subgroups_.reserve(layout_.subgroup_sizes.size());
+  const std::size_t n = layout_.subgroup_sizes.size();
+  // Images start on cache-line boundaries so neighbouring subgroups never
+  // share a line between the update thread and an I/O thread.
+  constexpr u64 kImageAlign = 64;
+  std::vector<u64> offsets(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 bytes =
+        Subgroup::image_bytes(layout_.subgroup_sizes[i], opts_.elem_scale);
+    offsets[i + 1] =
+        offsets[i] + (bytes + kImageAlign - 1) / kImageAlign * kImageAlign;
+  }
+  state_slab_ = AlignedBuffer::populated(offsets[n]);
+  subgroups_.reserve(n);
   std::vector<u64> accum_elems;
-  accum_elems.reserve(layout_.subgroup_sizes.size());
-  for (std::size_t i = 0; i < layout_.subgroup_sizes.size(); ++i) {
+  accum_elems.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     // Subgroup identity is the layout's global id (== the local index for
     // classic layouts): checkpoints and checksums stay comparable across
     // elastic re-shards. Engine-internal indexing stays local throughout.
+    const u64 sim = layout_.subgroup_sizes[i];
     subgroups_.push_back(std::make_unique<Subgroup>(
-        layout_.global_id(static_cast<u32>(i)), layout_.subgroup_sizes[i],
-        opts_.elem_scale));
+        layout_.global_id(static_cast<u32>(i)), sim, opts_.elem_scale,
+        state_slab_.bytes().subspan(
+            offsets[i], Subgroup::image_bytes(sim, opts_.elem_scale))));
     accum_elems.push_back(subgroups_.back()->real_elems());
   }
   accum_ = std::make_unique<GradAccumulator>(accum_elems);

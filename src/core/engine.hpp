@@ -4,7 +4,8 @@
 // The Engine base owns everything the three engines do the same way, so
 // one module decides how an optimizer step is computed and charged:
 //   * the context, options and shard layout, and their accessors;
-//   * the subgroups (identity = the layout's global id) and the host FP16
+//   * the subgroups (identity = the layout's global id), whose state
+//     images it allocates in one pre-faulted slab, and the host FP16
 //     gradient accumulation buffer;
 //   * deterministic parameter init and the initialize-once contract;
 //   * the gradient deposit body: generate FP16 gradients, then store or
@@ -45,6 +46,7 @@
 #include "train/mixed_precision.hpp"
 #include "train/sharding.hpp"
 #include "train/subgroup.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/sim_clock.hpp"
 #include "util/thread_pool.hpp"
 
@@ -232,7 +234,11 @@ class Engine {
  protected:
   /// Runs validate_common(), requires ctx.clock and ctx.grads, and builds
   /// one Subgroup (identity = the layout's global id) and one gradient
-  /// accumulation buffer per layout entry.
+  /// accumulation buffer per layout entry. The subgroups' images share one
+  /// exact-size slab, pre-faulted in a single call
+  /// (AlignedBuffer::populated): separate images of ~145 KB would each
+  /// cross glibc's 128 KiB mmap threshold and be mapped, faulted and
+  /// unmapped one by one.
   Engine(const EngineContext& ctx, const EngineOptions& opts,
          const ShardLayout& layout);
 
@@ -272,6 +278,8 @@ class Engine {
   EngineContext ctx_;
   EngineOptions opts_;
   ShardLayout layout_;
+  /// Backs every subgroup's image; declared first so it outlives them.
+  AlignedBuffer state_slab_;
   std::vector<std::unique_ptr<Subgroup>> subgroups_;
   std::unique_ptr<GradAccumulator> accum_;
 

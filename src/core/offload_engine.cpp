@@ -1,5 +1,6 @@
 #include "core/offload_engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <deque>
@@ -72,19 +73,22 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
 
   host_valid_.assign(subgroups_.size(), 0);
 
-  // Staging slab sized for 16 worst-case subgroup images: comfortably more
-  // than the prefetch window + in-flight flush budget of the update
-  // pipeline plus the backward phase's deposit scratch, so steady-state
-  // acquire() never blocks and — the gated invariant — never falls back to
-  // the heap.
-  std::size_t max_bytes = 4096;
+  // The pool holds only the deposit path's gradient scratch: one FP16
+  // lease per deposit plus, for the baseline, one FP32 upscale lease.
+  // Deposits run one at a time on the D2H channel, so a slab of two
+  // deposits' worth never blocks acquire() and — the gated invariant —
+  // never falls back to the heap.
   u64 max_elems = 1;
   for (const auto& sg : subgroups_) {
-    max_bytes = std::max(max_bytes, sg->serialized_bytes());
     max_elems = std::max(max_elems, sg->real_elems());
   }
   BufferPool::Options pool_opts;
-  pool_opts.slab_bytes = 16 * max_bytes;
+  const auto granules = [&](u64 bytes) {
+    return (bytes + pool_opts.granule - 1) / pool_opts.granule *
+           pool_opts.granule;
+  };
+  pool_opts.slab_bytes = 2 * (granules(max_elems * sizeof(u16)) +
+                              granules(max_elems * sizeof(f32)));
   scratch_ = std::make_unique<BufferPool>(pool_opts);
   slots_.resize(subgroups_.size());
   for (auto& s : slots_) s.grads_fp32.reserve(max_elems);
@@ -133,31 +137,26 @@ std::future<void> OffloadEngine::submit_io(IoRequest req) {
 }
 
 void OffloadEngine::poison_host_state(Subgroup& sg) {
-  // Evicted host copies are poisoned so that any code path consuming stale
-  // state (instead of re-fetching) fails loudly in tests.
-  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
-  for (auto& v : sg.params()) v = nan;
-  for (auto& v : sg.momentum()) v = nan;
-  for (auto& v : sg.variance()) v = nan;
+  // Host copies whose tier copy became authoritative are poisoned so that
+  // any code path consuming stale state (instead of re-fetching) fails
+  // loudly in tests. The header, and with it the step, stays valid.
+  const auto state = sg.state();
+  std::fill(state.begin(), state.end(),
+            std::numeric_limits<f32>::quiet_NaN());
+}
+
+IoRequest OffloadEngine::state_write(u32 id, IoPriority priority) {
+  Subgroup& sg = *subgroups_[id];
+  IoRequest req = IoRequest::tier_write(
+      state_key(id), placement_->path_for(id), sg.sim_state_bytes(), priority);
+  req.src = sg.image();
+  return req;
 }
 
 std::future<void> OffloadEngine::store_initial_state(u32 id) {
-  Subgroup& sg = *subgroups_[id];
-  const std::size_t path = placement_->path_for(id);
-  // Pooled staging: acquire may block once >16 writes are in flight, but
-  // the channel threads drain independently of this submitter, so the
-  // backpressure resolves itself.
-  auto buf = std::make_shared<BufferPool::Lease>(
-      scratch_->acquire(sg.serialized_bytes()));
-  sg.serialize(buf->bytes());
-  poison_host_state(sg);
-  const u64 sim = sg.sim_state_bytes();
-
-  IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
-                                        IoPriority::kCheckpoint);
-  req.work = [buf, sim, key = req.key](IoChannel& chan) -> u64 {
-    chan.write(key, buf->bytes(), sim);
-    return sim;
+  IoRequest req = state_write(id, IoPriority::kCheckpoint);
+  req.on_complete = [this, id](const IoResult&) {
+    poison_host_state(*subgroups_[id]);
   };
   return submit_io(std::move(req));
 }
@@ -216,20 +215,37 @@ void OffloadEngine::wait_gradient_io() { gradient_io_.wait_all(); }
 
 std::future<void> OffloadEngine::submit_fetch(UpdateSlot& slot) {
   Subgroup& sg = *subgroups_[slot.id];
-  const std::string key = state_key(slot.id);
-  // Routing hint only; the authoritative location check happens at
-  // dispatch (an unknown key fails loudly from the work function).
+  std::string key = state_key(slot.id);
+  // Routing hint only; an unknown key routes to path 0 and fails there
+  // with the tier's own "no object" error.
   const std::size_t loc = ctx_.vtier->locate(key);
 
   IoRequest req = IoRequest::tier_read(
-      key, sg.sim_state_bytes(), IoPriority::kDemandPrefetch,
+      std::move(key), sg.sim_state_bytes(), IoPriority::kDemandPrefetch,
       loc == VirtualTier::npos ? IoRequest::kAutoPath : loc);
-  req.work = [this, &slot](IoChannel& chan) -> u64 {
-    return fetch_subgroup(slot, chan);
-  };
-  // Completion feeds the policy's bandwidth feedback: service time includes
-  // the lock hand-off, matching how the paper's model sees path contention.
-  req.on_complete = [this, &slot, loc](const IoResult& r) {
+  if (opts_.delayed_grad_conversion) {
+    // Zero copy: the tier writes straight into the subgroup's image.
+    req.dst = sg.image();
+  } else {
+    // DeepSpeed behaviour: the FP32 gradients flushed during the backward
+    // pass ride back with the subgroup (16 B/param total fetch payload).
+    req.work = [this, &slot, &sg, key = req.key](IoChannel& chan) -> u64 {
+      chan.read(key, sg.image(), sg.sim_state_bytes());
+      slot.grads_fp32.resize(sg.real_elems());
+      std::span<u8> bytes(reinterpret_cast<u8*>(slot.grads_fp32.data()),
+                          slot.grads_fp32.size() * sizeof(f32));
+      const u64 grad_sim = sg.sim_params() * kFp32Bytes;
+      chan.read(grad_key(slot.id), bytes, grad_sim);
+      chan.erase(grad_key(slot.id));
+      return sg.sim_state_bytes() + grad_sim;
+    };
+  }
+  // Completion checks the header the read brought in, then feeds the
+  // policy's bandwidth feedback: service time includes the lock hand-off,
+  // matching how the paper's model sees path contention.
+  req.on_complete = [this, &slot, &sg, loc,
+                     prior_step = sg.step()](const IoResult& r) {
+    sg.check_loaded_header(prior_step);
     slot.fetch_seconds = r.service_seconds;
     slot.fetch_sim_bytes = r.sim_bytes;
     placement_->observe(loc == VirtualTier::npos ? 0 : loc, r.sim_bytes,
@@ -238,53 +254,18 @@ std::future<void> OffloadEngine::submit_fetch(UpdateSlot& slot) {
   return submit_io(std::move(req));
 }
 
-u64 OffloadEngine::fetch_subgroup(UpdateSlot& slot, IoChannel& chan) {
-  Subgroup& sg = *subgroups_[slot.id];
-  const std::string key = state_key(slot.id);
-  if (ctx_.vtier->locate(key) == VirtualTier::npos) {
-    throw std::runtime_error("OffloadEngine: subgroup " + key +
-                             " not found on any tier");
-  }
-
-  BufferPool::Lease staging = scratch_->acquire(sg.serialized_bytes());
-  chan.read(key, staging.bytes(), sg.sim_state_bytes());
-  sg.deserialize(staging.bytes());
-  u64 sim_read = sg.sim_state_bytes();
-
-  if (!opts_.delayed_grad_conversion) {
-    // DeepSpeed behaviour: the FP32 gradients flushed during the backward
-    // pass ride back with the subgroup (16 B/param total fetch payload).
-    slot.grads_fp32.resize(sg.real_elems());
-    std::span<u8> bytes(reinterpret_cast<u8*>(slot.grads_fp32.data()),
-                        slot.grads_fp32.size() * sizeof(f32));
-    const u64 grad_sim = sg.sim_params() * kFp32Bytes;
-    chan.read(grad_key(slot.id), bytes, grad_sim);
-    chan.erase(grad_key(slot.id));
-    sim_read += grad_sim;
-  }
-  return sim_read;
-}
-
 std::future<void> OffloadEngine::flush_subgroup_async(
     u32 id, std::vector<SubgroupTrace>* traces) {
-  Subgroup& sg = *subgroups_[id];
-  auto buf = std::make_shared<BufferPool::Lease>(
-      scratch_->acquire(sg.serialized_bytes()));
-  sg.serialize(buf->bytes());
-  poison_host_state(sg);
   host_valid_[id] = 0;
   cache_.erase(id);
-
-  const std::size_t path = placement_->path_for(id);  // new tier t (Alg. 1 l.9)
-  const u64 sim = sg.sim_state_bytes();
-
-  IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
-                                        IoPriority::kLazyFlush);
-  req.work = [buf, sim, key = req.key](IoChannel& chan) -> u64 {
-    chan.write(key, buf->bytes(), sim);
-    return sim;
-  };
-  req.on_complete = [this, id, path, sim, traces](const IoResult& r) {
+  // The write goes to the subgroup's new tier t (Alg. 1 l.9) straight from
+  // its image; the image stays untouched until the bytes have landed.
+  IoRequest req = state_write(id, IoPriority::kLazyFlush);
+  req.on_complete = [this, id, path = req.path, sim = req.sim_bytes,
+                     traces](const IoResult& r) {
+    // Poisoning runs after the transfer, outside the service time the
+    // placement EMA sees.
+    poison_host_state(*subgroups_[id]);
     placement_->observe(path, sim, r.service_seconds, r.queue_wait_seconds);
     if (traces != nullptr) {
       (*traces)[id].write_seconds += r.service_seconds;
@@ -315,8 +296,17 @@ void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
   // drained and freed its buffer — this backpressure is what couples the
   // read stream to the slow write stream and produces the oscillating
   // effective-throughput pattern of Fig. 5.
-  std::deque<std::future<void>> inflight_flushes;
+  struct Flush {
+    u32 id;
+    std::future<void> done;
+  };
+  std::deque<Flush> inflight_flushes;
   const std::size_t max_inflight_flushes = 1;
+  const auto retire_oldest_flush = [&] {
+    Flush& f = inflight_flushes.front();
+    if (f.done.valid()) f.done.get();
+    inflight_flushes.pop_front();
+  };
 
   u32 next_issue = 0;
   const auto issue = [&](u32 pos) {
@@ -329,8 +319,14 @@ void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
     }
     slot.cache_hit = false;
     while (inflight_flushes.size() > max_inflight_flushes) {
-      inflight_flushes.front().get();
-      inflight_flushes.pop_front();
+      retire_oldest_flush();
+    }
+    // Read after write: a subgroup evicted earlier in this phase may be
+    // re-fetched while its flush is still in flight. The fetch must wait
+    // for it — it would read the stale tier copy, and land in the image
+    // the flush is still writing out and about to poison.
+    for (Flush& f : inflight_flushes) {
+      if (f.id == slot.id && f.done.valid()) f.done.get();
     }
     slot.fetch_done = submit_fetch(slot);
   };
@@ -357,9 +353,9 @@ void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
       }
     }
     for (auto& f : inflight_flushes) {
-      if (f.valid()) {
+      if (f.done.valid()) {
         try {
-          f.get();
+          f.done.get();
         } catch (...) {
         }
       }
@@ -439,20 +435,19 @@ void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
     if (use_host_cache_) {
       host_valid_[slot.id] = 1;
       if (const auto evicted = cache_.insert(slot.id)) {
-        inflight_flushes.push_back(flush_subgroup_async(*evicted, &traces));
+        inflight_flushes.push_back(
+            {*evicted, flush_subgroup_async(*evicted, &traces)});
       }
     } else {
-      inflight_flushes.push_back(flush_subgroup_async(slot.id, &traces));
+      inflight_flushes.push_back(
+          {slot.id, flush_subgroup_async(slot.id, &traces)});
     }
 
     // async_f2h_prefetch of the next subgroup (Alg. 1 l.11).
     if (next_issue < n) issue(next_issue++);
   }
 
-  while (!inflight_flushes.empty()) {
-    inflight_flushes.front().get();
-    inflight_flushes.pop_front();
-  }
+  while (!inflight_flushes.empty()) retire_oldest_flush();
   h2d_batch.wait_all();
   };  // pipeline
 
@@ -486,15 +481,13 @@ Subgroup OffloadEngine::snapshot_subgroup(u32 id) const {
   const Subgroup& sg = *subgroups_.at(id);
   if (host_valid_[id]) return sg;
   Subgroup copy(sg.id(), sg.sim_params(), sg.elem_scale());
-  std::vector<u8> staging(copy.serialized_bytes());
   const std::string key = state_key(id);
-  const std::size_t loc = ctx_.vtier->locate(key);
-  if (loc == VirtualTier::npos) {
+  if (ctx_.vtier->locate(key) == VirtualTier::npos) {
     throw std::runtime_error("snapshot_subgroup: " + key + " not on any tier");
   }
   // Untimed inspection read: bypass the throttle via the tier's peek path.
-  ctx_.vtier->peek(key, staging);
-  copy.deserialize(staging);
+  ctx_.vtier->peek(key, copy.image());
+  copy.check_loaded_header(sg.step());
   return copy;
 }
 
@@ -535,21 +528,15 @@ bool OffloadEngine::on_persistent_path(u32 id) const {
 }
 
 void OffloadEngine::restore_state(u32 id, std::span<const u8> serialized) {
-  Subgroup& sg = *subgroups_.at(id);
-  sg.deserialize(serialized);  // validates header identity
+  subgroups_.at(id)->deserialize(serialized);  // validates header identity
   // Write through to the assigned path; the restored image becomes the
   // authoritative copy and any cached state is dropped. Checkpoint-class
   // traffic: it must not starve demand fetches of a concurrent update.
-  const std::size_t path = placement_->path_for(id);
-  const u64 sim = sg.sim_state_bytes();
-  IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
-                                        IoPriority::kCheckpoint);
-  req.work = [serialized, sim, key = req.key](IoChannel& chan) -> u64 {
-    chan.write(key, serialized, sim);
-    return sim;
+  IoRequest req = state_write(id, IoPriority::kCheckpoint);
+  req.on_complete = [this, id](const IoResult&) {
+    poison_host_state(*subgroups_[id]);
   };
-  submit_io(std::move(req)).get();  // span only lives until return
-  poison_host_state(sg);
+  submit_io(std::move(req)).get();
   host_valid_[id] = 0;
   cache_.erase(id);
 }

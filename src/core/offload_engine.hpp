@@ -10,6 +10,13 @@
 //     pipeline over the subgroups, with per-path process-exclusive
 //     concurrency control.
 //
+// State I/O is zero-copy: a fetch reads the tier object straight into the
+// subgroup's image (train/subgroup.hpp) and a flush writes the image
+// straight out. Once a write has landed — in the request's completion
+// hook — the host copy's P/M/V are poisoned with NaN, so state consumed
+// without a re-fetch fails loudly. A fetch of a subgroup whose flush is
+// still in flight waits for that flush first.
+//
 // This class owns only the pipeline mechanics. The two strategy decisions —
 // which storage path a subgroup lives on, and in what order subgroups are
 // processed (and hence whether the host cache gets reuse) — are pluggable
@@ -59,14 +66,15 @@ class OffloadEngine final : public Engine {
   bool on_persistent_path(u32 id) const override;
   void restore_state(u32 id, std::span<const u8> serialized) override;
 
-  /// Cumulative staging-pool counters — the ground truth behind the
-  /// alloc-churn metric (heap_fallbacks must stay zero in steady state).
+  /// Cumulative gradient-scratch pool counters — the ground truth behind
+  /// the alloc-churn metric (heap_fallbacks must stay zero in steady
+  /// state; only gradient deposits acquire).
   BufferPool::Stats scratch_stats() const { return scratch_->stats(); }
 
  private:
   struct UpdateSlot;
 
-  /// Serialize the initial state and write it to its placed path.
+  /// Write the initial image to its placed path; poison it once landed.
   std::future<void> store_initial_state(u32 id) override;
   /// The update phase (Algorithm 1): prefetch, convert, CPU-Adam, H2D push
   /// of FP16 params, tier reassignment, lazy flush — pipelined and
@@ -84,8 +92,13 @@ class OffloadEngine final : public Engine {
   /// Reset the persistent update slots for a fresh iteration without
   /// surrendering the grads_fp32 capacity they reserved at construction.
   void reset_slots(u32 n);
+  /// A write of subgroup `id`'s image to its placed path (no hooks yet).
+  IoRequest state_write(u32 id, IoPriority priority);
+  /// Read subgroup `slot.id`'s image from its tier (plus, for the
+  /// baseline, its FP32 gradients); completion checks the header.
   std::future<void> submit_fetch(UpdateSlot& slot);
-  u64 fetch_subgroup(UpdateSlot& slot, IoChannel& chan);
+  /// Drop `id` from the host and write its image back; completion poisons
+  /// the host copy and records the write in `traces`.
   std::future<void> flush_subgroup_async(u32 id,
                                          std::vector<SubgroupTrace>* traces);
 
@@ -96,9 +109,9 @@ class OffloadEngine final : public Engine {
   HostCache cache_;
   IoBatch gradient_io_;
 
-  /// One slab behind every transient I/O-path buffer (fetch staging, flush
-  /// serialization, deposit scratch): steady-state iterations suballocate
-  /// from here instead of the heap. Created in the ctor once the subgroup
+  /// One slab behind the deposit path's gradient scratch (FP16, and the
+  /// baseline's FP32 upscale): steady-state iterations suballocate from
+  /// here instead of the heap. Created in the ctor once the subgroup
   /// geometry is known; declared before slots_ so any late lease holders
   /// destruct first.
   std::unique_ptr<BufferPool> scratch_;

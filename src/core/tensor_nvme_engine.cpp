@@ -1,7 +1,6 @@
 #include "core/tensor_nvme_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "policy/policy_registry.hpp"
@@ -39,7 +38,6 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
 
   u64 max_elems = 1;
   for (const auto& sg : subgroups_) {
-    staging_.emplace_back(sg->real_elems() * 3);
     max_elems = std::max(max_elems, sg->real_elems());
   }
   stored_path_.assign(subgroups_.size(), 0);
@@ -59,25 +57,6 @@ std::string TensorNvmeEngine::state_key(u32 id) const {
                     std::to_string(id));
 }
 
-std::span<f32> TensorNvmeEngine::pack_staging(u32 id) {
-  const Subgroup& sg = *subgroups_[id];
-  auto& buf = staging_[id];
-  const std::size_t n = sg.real_elems();
-  std::copy(sg.params().begin(), sg.params().end(), buf.begin());
-  std::copy(sg.momentum().begin(), sg.momentum().end(), buf.begin() + n);
-  std::copy(sg.variance().begin(), sg.variance().end(), buf.begin() + 2 * n);
-  return buf;
-}
-
-void TensorNvmeEngine::unpack_staging(u32 id) {
-  Subgroup& sg = *subgroups_[id];
-  const auto& buf = staging_[id];
-  const std::size_t n = sg.real_elems();
-  std::copy(buf.begin(), buf.begin() + n, sg.params().begin());
-  std::copy(buf.begin() + n, buf.begin() + 2 * n, sg.momentum().begin());
-  std::copy(buf.begin() + 2 * n, buf.end(), sg.variance().begin());
-}
-
 std::future<void> TensorNvmeEngine::submit_io(IoRequest req) {
   req.tenant = ctx_.tenant;
   return ctx_.io->submit(std::move(req));
@@ -86,8 +65,9 @@ std::future<void> TensorNvmeEngine::submit_io(IoRequest req) {
 std::future<void> TensorNvmeEngine::write_through(u32 id) {
   const std::size_t path = placement_->path_for(id);
   stored_path_[id] = path;
-  return offloaders_[path]->async_write(state_key(id), pack_staging(id),
-                                        subgroups_[id]->sim_state_bytes());
+  Subgroup& sg = *subgroups_[id];
+  return offloaders_[path]->async_write(state_key(id), sg.state(),
+                                        sg.sim_state_bytes());
 }
 
 std::future<void> TensorNvmeEngine::store_initial_state(u32 id) {
@@ -137,9 +117,8 @@ void TensorNvmeEngine::update_phase(u64 iteration, IterationReport& report) {
     {
       SimTimer read_timer(*ctx_.clock);
       offloaders_[stored_path_[id]]
-          ->async_read(state_key(id), staging_[id], sg.sim_state_bytes())
+          ->async_read(state_key(id), sg.state(), sg.sim_state_bytes())
           .get();
-      unpack_staging(id);
       trace.read_seconds = read_timer.elapsed();
       trace.sim_bytes_read = sg.sim_state_bytes();
     }

@@ -11,7 +11,10 @@
 // async_write / async_read / synchronize discipline instead of
 // OffloadEngine's prefetch pipeline. Fetches are synchronous per tensor
 // (the facade's simplicity is the point); write-back stays asynchronous and
-// drains at the end of the update phase. Numerically it is bit-identical
+// drains at the end of the update phase. The tensor an offloader moves is
+// the subgroup's own [params|momentum|variance] block (Subgroup::state()),
+// read and written in place: the subgroup images outlive every pending
+// write, which is TensorNVMe's span contract. Numerically it is bit-identical
 // to the other engines — the equivalence suite holds it to that.
 #pragma once
 
@@ -54,12 +57,9 @@ class TensorNvmeEngine final : public Engine {
   /// request (the offloaders stamp their own; they get the id at
   /// construction).
   std::future<void> submit_io(IoRequest req);
-  /// Pack host P/M/V into the subgroup's staging buffer (the tensor the
-  /// offloader sees) / unpack it back.
-  std::span<f32> pack_staging(u32 id);
-  void unpack_staging(u32 id);
-  /// Write subgroup `id`'s staging tensor to the offloader the placement
-  /// policy currently assigns it, recording that location for later reads.
+  /// Write subgroup `id`'s tensor — its P/M/V block, read in place — to
+  /// the offloader the placement policy currently assigns it, recording
+  /// that location for later reads.
   std::future<void> write_through(u32 id);
 
   std::unique_ptr<PlacementPolicy> placement_;
@@ -70,9 +70,6 @@ class TensorNvmeEngine final : public Engine {
   /// to. Reads must use this, not the live policy: a rebalance() between
   /// write and read may move the *assignment* while the bytes stay put.
   std::vector<std::size_t> stored_path_;
-  /// Per-subgroup tensor staging ([params|momentum|variance] as f32);
-  /// must outlive pending async writes (TensorNVMe's span contract).
-  std::vector<std::vector<f32>> staging_;
   IoBatch gradient_io_;
   /// Reserved-once scratch for the serial paths: deposits ride the single
   /// D2H link channel (one work function at a time per engine) and the

@@ -467,7 +467,11 @@ void IoScheduler::run_batch(ChannelQueue& q,
       const f64 start = item_start;
       std::shared_ptr<Pending> pending(p.release());
       auto on_done = [this, pending, lease, queue_wait,
-                      start](std::exception_ptr error) {
+                      start](std::exception_ptr error) mutable {
+        // Give the direction lock back before the future settles: the
+        // backend destroys this callback only later, and a waiter may tear
+        // down the VirtualTier (and its TierLock) as soon as get() returns.
+        lease.reset();
         complete(*pending, queue_wait, std::max(0.0, clock_->now() - start),
                  effective_bytes(pending->req), std::move(error));
       };
@@ -606,11 +610,12 @@ void IoScheduler::settle(Pending& pending, std::exception_ptr error) {
 }
 
 void IoScheduler::finish_one(u32 tenant) {
-  {
-    MutexLock lk(drain_mutex_);
-    settled_.fetch_add(1, std::memory_order_release);
-    ++tenant_settled_[tenant];
-  }
+  // Notify under the mutex: a drain() waiter woken by the count may return
+  // and destroy the scheduler, CondVar included, the moment it can retake
+  // the mutex — which must not be before this broadcast has finished.
+  MutexLock lk(drain_mutex_);
+  settled_.fetch_add(1, std::memory_order_release);
+  ++tenant_settled_[tenant];
   drain_cv_.notify_all();
 }
 

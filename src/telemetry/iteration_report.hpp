@@ -96,10 +96,12 @@ struct IterationReport {
   u64 graph_tasks_stolen = 0;
   f64 graph_executor_idle_seconds = 0;
 
-  // Staging-pool counters (delta of BufferPool::Stats over the update
-  // phase). pool_heap_fallbacks is the alloc-churn metric the smoke gate
-  // pins at zero: a steady-state iteration must serve every transient
-  // I/O-path buffer from the slab.
+  // Gradient-scratch pool counters (delta of BufferPool::Stats since the
+  // previous update epilogue, so the backward phase's deposits count; state
+  // fetches and flushes move the subgroup images and acquire nothing).
+  // pool_heap_fallbacks is the alloc-churn metric the smoke gate pins at
+  // zero: a steady-state iteration must serve every deposit buffer from
+  // the slab.
   u64 pool_acquires = 0;
   u64 pool_heap_fallbacks = 0;
 

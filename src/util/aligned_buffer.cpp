@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -19,21 +20,83 @@ AlignedBuffer::AlignedBuffer(std::size_t size, std::size_t alignment)
   std::memset(data_, 0, alloc);
 }
 
-AlignedBuffer::~AlignedBuffer() { std::free(data_); }
+namespace {
+
+#ifdef MAP_POPULATE
+/// `size` bytes of zeroed anonymous memory, every page already faulted in.
+u8* map_populated(std::size_t size) {
+#if defined(MADV_HUGEPAGE) && defined(MADV_POPULATE_WRITE)
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  constexpr std::size_t kPage = 4096;
+  if (size >= 8 * kHugePage) {
+    // Over-map by one huge page and trim to a 2 MiB-aligned start, so the
+    // kernel can back every whole 2 MiB stretch with a huge page.
+    const std::size_t mapped = (size + kPage - 1) / kPage * kPage;
+    const std::size_t over = mapped + kHugePage;
+    void* raw = ::mmap(nullptr, over, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) throw std::bad_alloc();
+    u8* const base = static_cast<u8*>(raw);
+    const auto addr = reinterpret_cast<std::uintptr_t>(base);
+    u8* const aligned = base + ((kHugePage - addr % kHugePage) % kHugePage);
+    if (aligned > base) ::munmap(base, aligned - base);
+    const std::size_t tail = (base + over) - (aligned + mapped);
+    if (tail > 0) ::munmap(aligned + mapped, tail);
+    ::madvise(aligned, mapped, MADV_HUGEPAGE);
+    if (::madvise(aligned, mapped, MADV_POPULATE_WRITE) != 0) {
+      std::memset(aligned, 0, size);  // kernels before 5.14: fault by touch
+    }
+    return aligned;
+  }
+#endif
+  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<u8*>(p);
+}
+#endif
+
+void free_buffer(u8* data, std::size_t size, bool mapped) {
+  if (mapped) {
+    ::munmap(data, size);
+  } else {
+    std::free(data);
+  }
+}
+
+}  // namespace
+
+AlignedBuffer AlignedBuffer::populated(std::size_t size) {
+#ifdef MAP_POPULATE
+  AlignedBuffer buf;
+  if (size == 0) return buf;
+  buf.data_ = map_populated(size);
+  buf.size_ = size;
+  buf.mapped_ = true;
+  return buf;
+#else
+  return AlignedBuffer(size);
+#endif
+}
+
+AlignedBuffer::~AlignedBuffer() { free_buffer(data_, size_, mapped_); }
 
 AlignedBuffer::AlignedBuffer(AlignedBuffer&& other) noexcept
-    : data_(other.data_), size_(other.size_) {
+    : data_(other.data_), size_(other.size_), mapped_(other.mapped_) {
   other.data_ = nullptr;
   other.size_ = 0;
+  other.mapped_ = false;
 }
 
 AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
   if (this != &other) {
-    std::free(data_);
+    free_buffer(data_, size_, mapped_);
     data_ = other.data_;
     size_ = other.size_;
+    mapped_ = other.mapped_;
     other.data_ = nullptr;
     other.size_ = 0;
+    other.mapped_ = false;
   }
   return *this;
 }

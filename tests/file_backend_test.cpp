@@ -1,14 +1,17 @@
 // End-to-end engine run over REAL files: the production (non-emulated)
-// path. FileTier-backed virtual tier, genuine POSIX I/O, wall-clock time
-// (time_scale 1) — proves the engine logic is backend-agnostic and that
-// the emulated runs exercise the same code paths as real storage.
+// path. FileTier- and UringFileTier-backed virtual tiers, genuine POSIX
+// and io_uring I/O, wall-clock time (time_scale 1) — proves the engine
+// logic is backend-agnostic and that the emulated runs exercise the same
+// code paths as real storage.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <iostream>
 
 #include "core/offload_engine.hpp"
+#include "io/uring_backend.hpp"
 #include "tiers/file_tier.hpp"
 #include "tiers/memory_tier.hpp"
 
@@ -85,7 +88,9 @@ TEST_F(FileBackendTest, FullTrainingLoopOverRealFiles) {
 
 TEST_F(FileBackendTest, StateMatchesEmulatedBackend) {
   // The same schedule over files and over memory tiers must produce
-  // identical optimizer state — storage backends cannot affect math.
+  // identical optimizer state — storage backends cannot affect math. The
+  // uring_file backends settle state fetches and flushes from their own
+  // completion threads, straight into and out of the subgroup images.
   const auto layout = make_shard_layout(512 * 4, 1, 0, 512);
   EngineOptions opts = EngineOptions::mlp_offload();
   opts.elem_scale = 1;
@@ -111,15 +116,29 @@ TEST_F(FileBackendTest, StateMatchesEmulatedBackend) {
     return engine.state_checksum();
   };
 
-  const u64 file_digest = run(vtier_, *io_);
-
   VirtualTier mem_vtier;
   mem_vtier.add_path(std::make_shared<MemoryTier>("m0"));
   mem_vtier.add_path(std::make_shared<MemoryTier>("m1"));
   IoScheduler mem_io(clock_, &mem_vtier, {});
   const u64 mem_digest = run(mem_vtier, mem_io);
 
-  EXPECT_EQ(file_digest, mem_digest);
+  EXPECT_EQ(run(vtier_, *io_), mem_digest) << "file";
+
+  for (const bool fallback : {false, true}) {
+    const char* variant = fallback ? "uring_file fallback" : "uring_file";
+    if (!fallback && !AsyncFileBackend::kernel_supports_uring()) {
+      std::cout << "kernel refuses io_uring; skipping " << variant << "\n";
+      continue;
+    }
+    UringFileTier::Options o;
+    o.force_fallback = fallback;
+    const fs::path dir = root_ / (fallback ? "fallback" : "uring");
+    VirtualTier uring_vtier;
+    uring_vtier.add_path(std::make_shared<UringFileTier>("u0", dir / "0", o));
+    uring_vtier.add_path(std::make_shared<UringFileTier>("u1", dir / "1", o));
+    IoScheduler uring_io(clock_, &uring_vtier, {});
+    EXPECT_EQ(run(uring_vtier, uring_io), mem_digest) << variant;
+  }
 }
 
 }  // namespace

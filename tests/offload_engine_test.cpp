@@ -1,8 +1,9 @@
 // OffloadEngine: initialization/distribution, the update pipeline, caching
-// behaviour, numerical correctness against a hand-rolled reference, and
-// option validation — plus the Engine base's contract (context and scalar
-// option checks, charged compute, local trace ids), pinned once for every
-// engine kind through make_engine.
+// behaviour, the NaN tripwire on evicted host state, read-after-write
+// ordering of re-fetches, numerical correctness against a hand-rolled
+// reference, and option validation — plus the Engine base's contract
+// (context and scalar option checks, charged compute, local trace ids),
+// pinned once for every engine kind through make_engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "core/offload_engine.hpp"
+#include "policy/policy_registry.hpp"
 #include "tiers/memory_tier.hpp"
 #include "tiers/throttled_tier.hpp"
 #include "train/adam.hpp"
@@ -420,6 +422,128 @@ TEST(OffloadEngine, NoNansEscapeThePipeline) {
     for (const f32 x : sg.momentum()) EXPECT_TRUE(std::isfinite(x));
     for (const f32 x : sg.variance()) EXPECT_TRUE(std::isfinite(x));
   }
+}
+
+// The NaN tripwire: once a subgroup's tier copy is authoritative its host
+// copy is poisoned, so state consumed without a re-fetch fails loudly.
+// Engine::snapshot_subgroup (called qualified, bypassing OffloadEngine's
+// tier-reading override) shows the host copies as they are.
+TEST(OffloadEngine, OnlyHostResidentStateStaysFiniteOnTheHost) {
+  for (const char* preset : {"mlp_offload", "deepspeed_zero3"}) {
+    EngineRig rig;
+    const auto opts = EngineRig::fast_options(EngineOptions::preset(preset));
+    OffloadEngine engine(rig.context_for(opts), opts, EngineRig::layout());
+    const auto host_state_is = [&](u32 id, bool finite) {
+      Subgroup host = engine.Engine::snapshot_subgroup(id);
+      const std::span<const f32> state = host.state();
+      return std::all_of(state.begin(), state.end(), [&](f32 x) {
+        return finite ? std::isfinite(x) : std::isnan(x);
+      });
+    };
+    engine.initialize();
+    for (u32 id = 0; id < engine.num_subgroups(); ++id) {
+      EXPECT_TRUE(host_state_is(id, false)) << preset << " init sg " << id;
+    }
+    for (u64 iter = 0; iter < 3; ++iter) {
+      rig.run_one_iteration(engine, iter);
+      const std::vector<u32> resident = engine.host_resident();
+      if (std::string(preset) == "mlp_offload") {
+        EXPECT_EQ(resident.size(), 3u);
+      } else {
+        EXPECT_TRUE(resident.empty());
+      }
+      for (u32 id = 0; id < engine.num_subgroups(); ++id) {
+        const bool is_resident =
+            std::find(resident.begin(), resident.end(), id) != resident.end();
+        EXPECT_TRUE(host_state_is(id, is_resident))
+            << preset << " iter " << iter << " sg " << id
+            << (is_resident ? " resident" : " evicted");
+      }
+    }
+  }
+}
+
+TEST(OffloadEngine, SteadyStateUpdateAcquiresNoPoolBuffers) {
+  // Fetches and flushes move the subgroup images themselves; the pool
+  // serves only the gradient deposits of the backward phase.
+  for (const char* preset : {"mlp_offload", "deepspeed_zero3"}) {
+    EngineRig rig;
+    const auto opts = EngineRig::fast_options(EngineOptions::preset(preset));
+    OffloadEngine engine(rig.context_for(opts), opts, EngineRig::layout());
+    engine.initialize();
+    EXPECT_EQ(engine.scratch_stats().acquires, 0u) << preset;
+    rig.run_one_iteration(engine, 0);
+    for (u32 id = 0; id < engine.num_subgroups(); ++id) {
+      engine.deposit_gradients_async(1, id, true, true);
+    }
+    engine.wait_gradient_io();
+    const BufferPool::Stats before = engine.scratch_stats();
+    EXPECT_GE(before.acquires, 2u * engine.num_subgroups()) << preset;
+    engine.run_update(1);
+    const BufferPool::Stats after = engine.scratch_stats();
+    EXPECT_EQ(after.acquires, before.acquires) << preset;
+    EXPECT_EQ(after.heap_fallbacks, 0u) << preset;
+    EXPECT_EQ(after.blocked_waits, 0u) << preset;
+  }
+}
+
+// Schedules the host residents last, least recently used first: every
+// resident is evicted by the non-residents ahead of it, then fetched again
+// in the same phase — right behind its own flush when the cache holds all
+// but one subgroup.
+class ResidentsLast final : public UpdateOrderPolicy {
+ public:
+  const std::string& name() const override {
+    static const std::string n = "test_residents_last";
+    return n;
+  }
+  bool uses_host_cache() const override { return true; }
+  std::vector<u32> order(u32 n, u64,
+                         std::span<const u32> resident) const override {
+    std::vector<u32> o;
+    for (u32 id = 0; id < n; ++id) {
+      if (std::find(resident.begin(), resident.end(), id) == resident.end()) {
+        o.push_back(id);
+      }
+    }
+    o.insert(o.end(), resident.begin(), resident.end());
+    return o;
+  }
+};
+
+TEST(OffloadEngine, RefetchAfterEvictionWaitsForTheFlush) {
+  register_update_order_policy("test_residents_last",
+                               [] { return std::make_unique<ResidentsLast>(); });
+  constexpr u32 kSubgroups = 4;
+  const ShardLayout layout =
+      make_shard_layout(kSubgroupParams * kSubgroups, 1, 0, kSubgroupParams);
+  EngineRig rig;
+  auto opts = EngineRig::fast_options(EngineOptions::mlp_offload());
+  opts.update_order_policy = "test_residents_last";
+  opts.host_cache_subgroups = kSubgroups - 1;
+  OffloadEngine engine(rig.context(), opts, layout);
+  opts.engine = "cpu_only";
+  const auto reference = make_engine(rig.context(), opts, layout);
+  engine.initialize();
+  reference->initialize();
+
+  u32 refetched = 0;
+  for (u64 iter = 0; iter < 6; ++iter) {
+    const std::size_t residents = engine.host_resident().size();
+    for (u32 id = 0; id < kSubgroups; ++id) {
+      engine.deposit_gradients_async(iter, id, true, true);
+      reference->deposit_gradients_async(iter, id, true, true);
+    }
+    engine.wait_gradient_io();
+    reference->wait_gradient_io();
+    const IterationReport report = engine.run_update(iter);
+    reference->run_update(iter);
+    refetched += static_cast<u32>(residents - report.host_cache_hits);
+    ASSERT_EQ(engine.state_checksum(), reference->state_checksum())
+        << "iteration " << iter;
+  }
+  // The schedule really re-fetched evicted residents.
+  EXPECT_GE(refetched, 5u);
 }
 
 TEST(OffloadEngine, StaticPlacementIgnoresObservations) {

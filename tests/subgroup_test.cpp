@@ -1,8 +1,12 @@
-// Subgroup state container: scale reduction, serialization, checksums.
+// Subgroup state container: scale reduction, the one-image layout,
+// serialization and its pinned format, checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "train/subgroup.hpp"
 
@@ -113,6 +117,94 @@ TEST(Subgroup, InitAndChecksumGoldenDigestsPinned) {
     Subgroup::deterministic_param_init(rank, id, sg.params());
     EXPECT_EQ(sg.checksum(), kGolden[c]) << "rank=" << rank << " id=" << id;
   }
+}
+
+TEST(Subgroup, SerializedBytesGoldenDigestPinned) {
+  // The on-tier object format: a 32-byte header (magic, id, sim_params,
+  // elem_scale, step, reserved) followed by params, momentum and variance.
+  // Recorded when the state still lived in three separate arrays; tier
+  // objects and checkpoints written before and after the subgroup became
+  // one image must stay byte-identical.
+  Subgroup sg(7, 500, 4);
+  for (std::size_t i = 0; i < sg.real_elems(); ++i) {
+    sg.params()[i] = static_cast<f32>(i) * 0.5f;
+    sg.momentum()[i] = static_cast<f32>(i) * -0.25f;
+    sg.variance()[i] = static_cast<f32>(i) * 2.0f;
+  }
+  sg.set_step(42);
+  std::vector<u8> buf(sg.serialized_bytes());
+  sg.serialize(buf);
+  u64 fnv = 0xCBF29CE484222325ull;  // FNV-1a over the serialized bytes
+  for (const u8 b : buf) fnv = (fnv ^ b) * 0x100000001B3ull;
+  EXPECT_EQ(buf.size(), 1532u);
+  EXPECT_EQ(fnv, 0xD19C047C92FDBFFCull);
+  // The image is the serialized form, byte for byte.
+  EXPECT_TRUE(std::equal(buf.begin(), buf.end(), sg.image().begin(),
+                         sg.image().end()));
+}
+
+TEST(Subgroup, ViewsAreSubspansOfOneImage) {
+  Subgroup sg(3, 100, 1);
+  const u8* base = sg.image().data();
+  EXPECT_EQ(sg.image().size(), Subgroup::image_bytes(100, 1));
+  EXPECT_EQ(reinterpret_cast<const u8*>(sg.params().data()),
+            base + Subgroup::kHeaderBytes);
+  EXPECT_EQ(sg.momentum().data(), sg.params().data() + 100);
+  EXPECT_EQ(sg.variance().data(), sg.momentum().data() + 100);
+  EXPECT_EQ(sg.state().data(), sg.params().data());
+  EXPECT_EQ(sg.state().size(), 300u);
+}
+
+TEST(Subgroup, BorrowedImageAndOwningCopies) {
+  std::vector<u8> slab(Subgroup::image_bytes(64, 1));
+  Subgroup borrowed(5, 64, 1, slab);
+  EXPECT_EQ(borrowed.image().data(), slab.data());
+  borrowed.params()[0] = 1.5f;
+  borrowed.set_step(9);
+  EXPECT_THROW(Subgroup(5, 64, 1, std::span<u8>(slab).subspan(1)),
+               std::invalid_argument);
+
+  const Subgroup copy(borrowed);  // owns its memory
+  EXPECT_NE(copy.image().data(), slab.data());
+  EXPECT_EQ(copy.checksum(), borrowed.checksum());
+  borrowed.params()[0] = 2.5f;
+  EXPECT_EQ(copy.params()[0], 1.5f);
+  EXPECT_EQ(copy.step(), 9u);
+}
+
+TEST(Subgroup, HeaderMismatchedLoadThrowsAndKeepsIdentity) {
+  Subgroup donor(2, 100, 1);
+  donor.set_step(11);
+  std::vector<u8> foreign(donor.serialized_bytes());
+  donor.serialize(foreign);
+
+  Subgroup sg(1, 100, 1);
+  sg.set_step(5);
+  sg.params()[3] = 4.0f;
+  const u64 before = sg.checksum();
+  EXPECT_THROW(sg.deserialize(foreign), std::runtime_error);
+  EXPECT_EQ(sg.id(), 1u);
+  EXPECT_EQ(sg.step(), 5u);
+  EXPECT_EQ(sg.checksum(), before);
+
+  // A transfer that wrote a foreign object straight into the image.
+  std::copy(foreign.begin(), foreign.end(), sg.image().begin());
+  try {
+    sg.check_loaded_header(5);
+    ADD_FAILURE() << "a foreign header was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("header mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sg.id(), 1u);
+  EXPECT_EQ(sg.step(), 5u);
+  // The restored header is this subgroup's own again.
+  std::vector<u8> own(sg.serialized_bytes());
+  sg.serialize(own);
+  Subgroup reload(1, 100, 1);
+  EXPECT_NO_THROW(reload.deserialize(own));
+  EXPECT_EQ(reload.step(), 5u);
 }
 
 TEST(Subgroup, StorageKeyFormat) {

@@ -1,6 +1,7 @@
-// ThreadPool, BufferPool, RunningStats, percentile, Histogram.
+// ThreadPool, AlignedBuffer, BufferPool, RunningStats, percentile, Histogram.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numeric>
@@ -80,6 +81,26 @@ TEST(AlignedBuffer, TypedView) {
   EXPECT_EQ(floats.size(), 16u);
   floats[3] = 1.5f;
   EXPECT_EQ(buf.as<f32>()[3], 1.5f);
+}
+
+TEST(AlignedBuffer, PopulatedIsZeroedWritableAndMovable) {
+  // Below and above the size from which the slab asks for huge pages.
+  for (const std::size_t size : {std::size_t{1}, std::size_t{5000},
+                                 (std::size_t{16} << 20) + 12345}) {
+    AlignedBuffer buf = AlignedBuffer::populated(size);
+    ASSERT_EQ(buf.size(), size);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 4096, 0u);
+    EXPECT_TRUE(std::all_of(buf.bytes().begin(), buf.bytes().end(),
+                            [](u8 b) { return b == 0; }))
+        << size;
+    buf.data()[size - 1] = 9;
+    AlignedBuffer moved(std::move(buf));
+    EXPECT_EQ(moved.data()[size - 1], 9);
+    EXPECT_EQ(buf.size(), 0u);
+    buf = std::move(moved);  // move-assign back; both release cleanly
+    EXPECT_EQ(buf.data()[size - 1], 9);
+  }
+  EXPECT_TRUE(AlignedBuffer::populated(0).empty());
 }
 
 TEST(BufferPool, AcquireReleaseCycle) {

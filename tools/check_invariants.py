@@ -57,6 +57,13 @@ Checked invariants:
      code drift apart (one copy reported host wall-clock noise as compute
      and labelled traces with global subgroup ids), and a second copy
      fails here.
+ 10. Within src/core/, Subgroup::serialize and Subgroup::deserialize are
+     called only from core/checkpoint.cpp and from the engines'
+     restore_state bodies (comments stripped). A subgroup is one image,
+     byte for byte its tier object, so fetches and flushes move the image
+     itself; a serialize/deserialize call anywhere else in an engine is a
+     staging copy of every subgroup coming back (dropping the fetch and
+     flush copies cut floor_mem's CPU time per iteration by 10%).
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -228,6 +235,11 @@ ENGINE_BASE_ONLY = {
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 
 
+def strip_comments(text: str) -> str:
+    """Drop comments but keep their newlines, so offsets map to lines."""
+    return COMMENT_RE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+
+
 def check_engine_base_owns_the_step() -> None:
     core = REPO / "src" / "core"
     counts = dict.fromkeys(ENGINE_BASE_ONLY, 0)
@@ -253,6 +265,53 @@ def check_engine_base_owns_the_step() -> None:
                 f"{ENGINE_BASE_TU} holds {what} {hits} times, not once — "
                 f"either the Engine base grew a second copy or the check "
                 f"regressed"
+            )
+
+
+CHECKPOINT_TU = "src/core/checkpoint.cpp"
+SUBGROUP_COPY_CALL_RE = re.compile(r"(?:\.|->)\s*(?:de)?serialize\s*\(")
+RESTORE_STATE_DEF_RE = re.compile(
+    r"\b\w+::restore_state\s*\([^)]*\)\s*(?:const\s*)?\{")
+
+
+def brace_bodies(code: str, pattern: re.Pattern) -> list[tuple[int, int]]:
+    """[start, end] offsets of the brace-balanced body after each match
+    (the match must end on the body's opening brace)."""
+    bodies = []
+    for m in pattern.finditer(code):
+        depth = 0
+        for i in range(m.end() - 1, len(code)):
+            if code[i] == "{":
+                depth += 1
+            elif code[i] == "}":
+                depth -= 1
+                if depth == 0:
+                    bodies.append((m.end() - 1, i))
+                    break
+    return bodies
+
+
+def check_no_subgroup_staging_copies() -> None:
+    core = REPO / "src" / "core"
+    for path in sorted(core.rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        if rel == CHECKPOINT_TU:
+            continue
+        code = strip_comments(path.read_text())
+        allowed = brace_bodies(code, RESTORE_STATE_DEF_RE)
+        for m in SUBGROUP_COPY_CALL_RE.finditer(code):
+            if any(start <= m.start() <= end for start, end in allowed):
+                continue
+            line = code.count("\n", 0, m.start()) + 1
+            fail(
+                f"{rel}:{line} calls Subgroup::"
+                f"{m.group(0).lstrip('.->').split('(')[0].strip()} outside "
+                f"restore_state — fetches and flushes move the subgroup's "
+                f"image (Subgroup::image()) directly; only "
+                f"{CHECKPOINT_TU} and the engines' restore_state may copy "
+                f"it"
             )
 
 
@@ -432,6 +491,7 @@ def main() -> int:
     check_kernel_dispatch()
     check_engine_io_contract()
     check_engine_base_owns_the_step()
+    check_no_subgroup_staging_copies()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
