@@ -35,8 +35,7 @@ CheckpointReport checkpoint_prestage(Engine& engine, StorageTier& store) {
 
   // All checkpoint traffic rides the scheduler's external channel at
   // kCheckpoint priority: it never preempts demand fetches or gradient
-  // deposits, and tiny pre-stage markers coalesce into single dispatch
-  // batches. Engines without a scheduler (cpu_only) write synchronously.
+  // deposits. Engines without a scheduler (cpu_only) write synchronously.
   IoScheduler* io = engine.io();
   IoBatch batch;
   for (u32 id = 0; id < engine.num_subgroups(); ++id) {

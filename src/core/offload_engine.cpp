@@ -21,29 +21,6 @@ struct OffloadEngine::UpdateSlot {
   std::vector<f32> grads_fp32;
 };
 
-namespace {
-
-// Per-priority scheduler telemetry: delta of the cumulative counters over
-// one update phase.
-void fold_io_stats(IterationReport& report, const IoScheduler::Stats& start,
-                   const IoScheduler::Stats& end) {
-  for (std::size_t c = 0; c < kIoPriorityCount; ++c) {
-    const auto& s0 = start.priority[c];
-    const auto& s1 = end.priority[c];
-    auto& out = report.io_classes[c];
-    out.requests = (s1.completed + s1.failed) - (s0.completed + s0.failed);
-    out.cancelled = s1.cancelled - s0.cancelled;
-    out.sim_bytes = s1.sim_bytes - s0.sim_bytes;
-    out.queue_wait_seconds = s1.queue_wait_seconds - s0.queue_wait_seconds;
-    out.service_seconds = s1.service_seconds - s0.service_seconds;
-  }
-  report.io_coalesced_batches =
-      end.coalesced_batches - start.coalesced_batches;
-  report.io_max_queue_depth = end.max_queue_depth;
-}
-
-}  // namespace
-
 OffloadEngine::OffloadEngine(const EngineContext& ctx,
                              const EngineOptions& opts,
                              const ShardLayout& layout)
@@ -276,7 +253,6 @@ std::future<void> OffloadEngine::flush_subgroup_async(
 }
 
 void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
-  const IoScheduler::Stats io_stats_start = ctx_.io->tenant_stats(ctx_.tenant);
   const u32 n = num_subgroups();
 
   placement_->rebalance();
@@ -467,14 +443,6 @@ void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
 
   report.traces.reserve(n);
   for (u32 pos = 0; pos < n; ++pos) fold_trace(report, traces[order[pos]]);
-  fold_io_stats(report, io_stats_start, ctx_.io->tenant_stats(ctx_.tenant));
-  // Delta since the previous update epilogue, so backward-phase deposit
-  // churn lands in this iteration's report too.
-  const BufferPool::Stats pool_now = scratch_->stats();
-  report.pool_acquires = pool_now.acquires - pool_mark_.acquires;
-  report.pool_heap_fallbacks =
-      pool_now.heap_fallbacks - pool_mark_.heap_fallbacks;
-  pool_mark_ = pool_now;
 }
 
 Subgroup OffloadEngine::snapshot_subgroup(u32 id) const {

@@ -118,9 +118,6 @@ class OffloadEngine final : public Engine {
   /// Persistent per-position update slots, grads_fp32 reserved once to the
   /// largest subgroup — run_update reuses them every iteration.
   std::vector<UpdateSlot> slots_;
-  /// stats() snapshot at the end of the previous update phase; the delta
-  /// reported per iteration therefore also covers backward-phase deposits.
-  BufferPool::Stats pool_mark_{};
 };
 
 }  // namespace mlpo

@@ -8,7 +8,7 @@
 //   * tier channel   — one direction (read or write) of one VirtualTier
 //     path. Owns the use of that direction's node-level TierLock; when
 //     process-exclusive locking is enabled, the scheduler holds a Lease
-//     across each dispatch batch, which is exactly the paper's §3.2
+//     across each dispatched request, which is exactly the paper's §3.2
 //     "process-exclusive, thread-shared" concurrency control.
 //   * link channel   — a PCIe-style point-to-point link (D2H or H2D)
 //     modelled by a RateLimiter. A null limiter means instantaneous.
@@ -53,8 +53,8 @@ class IoChannel {
 
   /// Acquire this channel's direction lock (blocking; re-entrant for the
   /// owning worker); never null. The lock is released when the last
-  /// holder drops it. The scheduler takes one lease per dispatch batch so
-  /// a batch of coalesced small transfers pays the lock hand-off once.
+  /// holder drops it. The scheduler takes one lease per dispatched
+  /// request; an async completion holds it until the transfer lands.
   std::shared_ptr<Lease> lease();
 
   // --- Tier-channel operations (call only from a dispatch context) ------

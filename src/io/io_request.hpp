@@ -4,10 +4,10 @@
 // state, gradient deposits over the D2H link, lazy flushes of updated
 // subgroups, checkpoint writes — is expressed as one IoRequest and submitted
 // to the IoScheduler. The request carries everything the scheduler needs to
-// route (target + path hint), order (priority class), merge (sim_bytes for
-// small-transfer coalescing), and abandon (cancellation token) the
-// operation, plus a completion callback through which observed bandwidth
-// feeds back into the PerfModel's EMA.
+// route (target + path hint), order (priority class), charge (sim_bytes)
+// and abandon (cancellation token) the operation, plus a completion
+// callback through which observed bandwidth feeds back into the
+// PerfModel's EMA.
 #pragma once
 
 #include <atomic>
@@ -100,8 +100,8 @@ struct IoRequest {
   std::span<u8> dst{};
 
   /// Simulated transfer size: drives link/tier time charging for simple
-  /// requests and the small-transfer coalescing decision. 0 means "use the
-  /// real span size".
+  /// requests and the tenant's DRR byte cost. 0 means "use the real span
+  /// size".
   u64 sim_bytes = 0;
 
   IoPriority priority = IoPriority::kLazyFlush;

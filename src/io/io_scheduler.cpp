@@ -314,7 +314,7 @@ IoScheduler::TenantMap::iterator IoScheduler::pick_tenant(ChannelQueue& q) {
   // Deficit round-robin, weighted. The tenant under the cursor keeps the
   // channel while it can pay for its head request out of existing credit —
   // a weight-w tenant's quantum buys it a run of ~w quanta of bytes per
-  // visit, which is where the weighting bites; rotating after every batch
+  // visit, which is where the weighting bites; rotating after every request
   // would degenerate into unweighted alternation.
   {
     const auto cur = q.tenants.find(q.drr_cursor);
@@ -350,7 +350,7 @@ IoScheduler::TenantMap::iterator IoScheduler::pick_tenant(ChannelQueue& q) {
 
 void IoScheduler::dispatch_loop(ChannelQueue& q) {
   for (;;) {
-    std::vector<std::unique_ptr<Pending>> batch;
+    std::unique_ptr<Pending> p;
     {
       MutexLock lk(q.mutex);
       while (!closed_.load(std::memory_order_acquire) && q.size == 0) {
@@ -370,143 +370,107 @@ void IoScheduler::dispatch_loop(ChannelQueue& q) {
           break;
         }
       }
-      const auto pop_into_batch = [&] {
-        // Served bytes draw the tenant's DRR credit down, whatever mode
-        // picked it (the solo fast path leaves credit negative, which the
-        // quantum top-up amortises if contention appears later).
-        tq.deficit_bytes -=
-            static_cast<i64>(effective_bytes(cls->front()->req));
-        batch.push_back(std::move(cls->front()));
-        cls->pop_front();
-        --tq.size;
-        --q.size;
-      };
-      pop_into_batch();
-      // Small-transfer coalescing: same tenant, same class, same direction
-      // by construction (one queue per direction); one lock lease for all.
-      const IoRequest& head = batch.front()->req;
-      if (cfg_.coalesce_max_sim_bytes > 0 && cfg_.coalesce_batch > 1 &&
-          effective_bytes(head) <= cfg_.coalesce_max_sim_bytes) {
-        while (batch.size() < cfg_.coalesce_batch && !cls->empty() &&
-               effective_bytes(cls->front()->req) <=
-                   cfg_.coalesce_max_sim_bytes) {
-          pop_into_batch();
-        }
-      }
+      // Served bytes draw the tenant's DRR credit down, whatever mode
+      // picked it (the solo fast path leaves credit negative, which the
+      // quantum top-up amortises if contention appears later).
+      tq.deficit_bytes -= static_cast<i64>(effective_bytes(cls->front()->req));
+      p = std::move(cls->front());
+      cls->pop_front();
+      --tq.size;
+      --q.size;
       // A drained tenant forfeits its remaining credit (standard DRR) and
       // its entry, keeping the map's size == live backlogged tenants.
       if (tq.size == 0) q.tenants.erase(tenant_it);
     }
     q.not_full.notify_all();
-    run_batch(q, batch);
+    run_one(q, std::move(p));
   }
 }
 
-void IoScheduler::run_batch(ChannelQueue& q,
-                            std::vector<std::unique_ptr<Pending>>& batch) {
-  const f64 dispatch_start = clock_->now();
-  if (batch.size() > 1) {
-    MutexLock slk(stats_mutex_);
-    ++stats_.coalesced_batches;
-    stats_.coalesced_requests += batch.size();
-    Stats& ts = tenant_stats_[batch.front()->req.tenant];
-    ++ts.coalesced_batches;
-    ts.coalesced_requests += batch.size();
+void IoScheduler::run_one(ChannelQueue& q, std::unique_ptr<Pending> p) {
+  const f64 start = clock_->now();
+  const f64 queue_wait = std::max(0.0, start - p->enqueue_vtime);
+  const auto pri = static_cast<std::size_t>(p->req.priority);
+  const u32 tenant = p->req.tenant;
+  if (p->req.token.cancelled()) {
+    {
+      MutexLock slk(stats_mutex_);
+      ++stats_.priority[pri].cancelled;
+      ++tenant_stats_[tenant].priority[pri].cancelled;
+    }
+    settle(*p, std::make_exception_ptr(IoCancelled(
+                   "IoScheduler: request cancelled while queued: " +
+                   p->req.key)));
+    finish_one(tenant);
+    return;
   }
+  if (tenant_failed(tenant)) {
+    // A dead tenant's queued traffic fails at dispatch exactly as it
+    // would against a fail-stopped device — without occupying the
+    // channel, so the surviving tenants' requests behind it never stall.
+    complete(*p, queue_wait, 0, 0,
+             std::make_exception_ptr(FailStopError(
+                 "IoScheduler: tenant " + std::to_string(tenant) +
+                 " fail-stopped while \"" + p->req.key + "\" queued")));
+    return;
+  }
+  // The lease is taken only here, so cancelled and dead-tenant requests
+  // never touch the lock. It is shared so an async dispatch can keep the
+  // direction lock alive until its real completion lands — the last holder
+  // (this scope or the completion callback) releases it, from whichever
+  // thread that is (TierLock ownership is worker-keyed, not thread-keyed).
+  std::shared_ptr<IoChannel::Lease> lease = q.channel.lease();
 
-  // The lease is taken lazily so an all-cancelled batch never touches the
-  // lock, and held across the whole batch (the coalescing win: one
-  // process-exclusive hand-off for many small transfers). It is shared so
-  // async dispatches can keep the direction lock alive until their real
-  // completion lands — the last holder (batch scope or completion
-  // callback) releases it, from whichever thread that is (TierLock
-  // ownership is worker-keyed, not thread-keyed).
-  std::shared_ptr<IoChannel::Lease> lease;
-  f64 item_start = dispatch_start;
-  for (auto& p : batch) {
-    const auto pri = static_cast<std::size_t>(p->req.priority);
-    const u32 tenant = p->req.tenant;
-    if (p->req.token.cancelled()) {
-      {
-        MutexLock slk(stats_mutex_);
-        ++stats_.priority[pri].cancelled;
-        ++tenant_stats_[tenant].priority[pri].cancelled;
-      }
-      settle(*p, std::make_exception_ptr(IoCancelled(
-                     "IoScheduler: request cancelled while queued: " +
-                     p->req.key)));
-      finish_one(tenant);
-      continue;
-    }
-    if (tenant_failed(tenant)) {
-      // A dead tenant's queued traffic fails at dispatch exactly as it
-      // would against a fail-stopped device — without occupying the
-      // channel, so the surviving tenants' requests behind it never stall.
-      complete(*p, std::max(0.0, item_start - p->enqueue_vtime), 0, 0,
-               std::make_exception_ptr(FailStopError(
-                   "IoScheduler: tenant " + std::to_string(tenant) +
-                   " fail-stopped while \"" + p->req.key + "\" queued")));
-      continue;
-    }
-    if (!lease) lease = q.channel.lease();
-
-    // Async dispatch: when the backing tier settles on real device events,
-    // hand the transfer to its completion engine and move on — the request
-    // settles (stats, on_complete, future) from the completion
-    // callback with the genuinely observed service time, not a simulated
-    // one. Sync backends (throttled/simulated tiers) keep the inline path
-    // below, where SimClock charges the modelled service time.
-    const bool tier_async = p->req.target == IoTarget::kTierPath &&
-                            !p->req.work &&
-                            q.channel.async_capable(p->req.key);
-    const bool external_async = p->req.target == IoTarget::kExternal &&
-                                !p->req.work && p->req.tier != nullptr &&
-                                p->req.tier->supports_async();
-    if (tier_async || external_async) {
-      const f64 queue_wait = std::max(0.0, item_start - p->enqueue_vtime);
-      const f64 start = item_start;
-      std::shared_ptr<Pending> pending(p.release());
-      auto on_done = [this, pending, lease, queue_wait,
-                      start](std::exception_ptr error) mutable {
-        // Give the direction lock back before the future settles: the
-        // backend destroys this callback only later, and a waiter may tear
-        // down the VirtualTier (and its TierLock) as soon as get() returns.
-        lease.reset();
-        complete(*pending, queue_wait, std::max(0.0, clock_->now() - start),
-                 effective_bytes(pending->req), std::move(error));
-      };
-      IoRequest& req = pending->req;
-      if (tier_async) {
-        if (req.op == IoOp::kRead) {
-          q.channel.read_async(req.key, req.dst, req.sim_bytes,
-                               std::move(on_done));
-        } else {
-          q.channel.write_async(req.key, req.src, req.sim_bytes,
-                                std::move(on_done));
-        }
-      } else if (req.op == IoOp::kRead) {
-        req.tier->read_async(req.key, req.dst, req.sim_bytes,
+  // Async dispatch: when the backing tier settles on real device events,
+  // hand the transfer to its completion engine and move on — the request
+  // settles (stats, on_complete, future) from the completion callback with
+  // the genuinely observed service time, not a simulated one. Sync
+  // backends (throttled/simulated tiers) keep the inline path below, where
+  // SimClock charges the modelled service time.
+  const bool tier_async = p->req.target == IoTarget::kTierPath &&
+                          !p->req.work && q.channel.async_capable(p->req.key);
+  const bool external_async = p->req.target == IoTarget::kExternal &&
+                              !p->req.work && p->req.tier != nullptr &&
+                              p->req.tier->supports_async();
+  if (tier_async || external_async) {
+    std::shared_ptr<Pending> pending(p.release());
+    auto on_done = [this, pending, lease, queue_wait,
+                    start](std::exception_ptr error) mutable {
+      // Give the direction lock back before the future settles: the
+      // backend destroys this callback only later, and a waiter may tear
+      // down the VirtualTier (and its TierLock) as soon as get() returns.
+      lease.reset();
+      complete(*pending, queue_wait, std::max(0.0, clock_->now() - start),
+               effective_bytes(pending->req), std::move(error));
+    };
+    IoRequest& req = pending->req;
+    if (tier_async) {
+      if (req.op == IoOp::kRead) {
+        q.channel.read_async(req.key, req.dst, req.sim_bytes,
                              std::move(on_done));
       } else {
-        req.tier->write_async(req.key, req.src, req.sim_bytes,
+        q.channel.write_async(req.key, req.src, req.sim_bytes,
                               std::move(on_done));
       }
-      item_start = clock_->now();
-      continue;
+    } else if (req.op == IoOp::kRead) {
+      req.tier->read_async(req.key, req.dst, req.sim_bytes,
+                           std::move(on_done));
+    } else {
+      req.tier->write_async(req.key, req.src, req.sim_bytes,
+                            std::move(on_done));
     }
-
-    const f64 queue_wait = std::max(0.0, item_start - p->enqueue_vtime);
-    std::exception_ptr error;
-    u64 moved = 0;
-    try {
-      moved = execute(p->req, q.channel);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    complete(*p, queue_wait, std::max(0.0, clock_->now() - item_start), moved,
-             std::move(error));
-    item_start = clock_->now();
+    return;
   }
+
+  std::exception_ptr error;
+  u64 moved = 0;
+  try {
+    moved = execute(p->req, q.channel);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  complete(*p, queue_wait, std::max(0.0, clock_->now() - start), moved,
+           std::move(error));
 }
 
 void IoScheduler::complete(Pending& pending, f64 queue_wait, f64 service,
@@ -582,7 +546,7 @@ void IoScheduler::settle(Pending& pending, std::exception_ptr error) {
   // leases pointing into an engine-owned slab — and a waiter is entitled
   // to tear the engine down the moment its future returns. Releasing here
   // makes that teardown race-free: the Pending shell destroyed later (end
-  // of the dispatched batch, or the async completion's last shared_ptr)
+  // of run_one, or the async completion's last shared_ptr)
   // no longer references anything the engine owns.
   pending.req.work = nullptr;
   pending.req.on_complete = nullptr;
@@ -594,7 +558,7 @@ void IoScheduler::settle(Pending& pending, std::exception_ptr error) {
   // scheduler is destroyed. Without the pin, the LAST release of the
   // exception is unordered between the waiter (rethrow from get(),
   // refcount drop at the end of its catch block) and this worker
-  // (promise destruction when the dispatched batch goes out of scope);
+  // (promise destruction when the dispatched request goes out of scope);
   // the refcount itself is atomic, but it lives in libstdc++'s eh_ptr
   // machinery, which ThreadSanitizer cannot instrument, so a waiter
   // still reading what() while the worker performs the final free is

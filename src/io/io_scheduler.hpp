@@ -38,15 +38,14 @@
 //     settle with FailStopError, mirroring a fail-stopped device, while
 //     every other tenant's channels keep flowing; revive_tenant() models
 //     replacement hardware;
-//   * small-transfer coalescing: consecutive same-tenant, same-class
-//     requests at or below Config::coalesce_max_sim_bytes execute as one
-//     dispatch batch under a single TierLock lease;
+//   * one request per dispatch: each pop runs exactly one request, under
+//     its own TierLock lease (taken only once the request is known to be
+//     live, and held by an async transfer until it completes);
 //   * completion callbacks run on the dispatch thread before the future
 //     resolves, carrying observed queue-wait/service times — the hook that
-//     feeds PerfModel's bandwidth EMA and the per-priority telemetry in
-//     IterationReport. Stats are kept both globally and per tenant
-//     (tenant_stats()), symmetrically, so a single-tenant scheduler's
-//     tenant-0 stats equal its global stats.
+//     feeds PerfModel's bandwidth EMA. Per-priority stats are kept both
+//     globally and per tenant (tenant_stats()), symmetrically, so a
+//     single-tenant scheduler's tenant-0 stats equal its global stats.
 #pragma once
 
 #include <array>
@@ -73,16 +72,11 @@ class IoScheduler {
     /// Max queued requests per tenant per channel before submit() blocks.
     /// (With one tenant this is exactly the old per-channel bound.)
     std::size_t queue_depth = 64;
-    /// Hold the path's per-direction TierLock across each dispatch batch
-    /// (paper §3.2 process-exclusive concurrency control).
+    /// Hold the path's per-direction TierLock across each dispatched
+    /// request (paper §3.2 process-exclusive concurrency control).
     bool tier_exclusive_locking = true;
     /// Lock-ownership key of the worker this scheduler serves.
     int worker_id = 0;
-    /// Requests at or below this simulated size may coalesce into one
-    /// dispatch batch (single lock lease). 0 disables coalescing.
-    u64 coalesce_max_sim_bytes = 256 * 1024;
-    /// Max requests per coalesced batch.
-    std::size_t coalesce_batch = 8;
     /// Ignore priority classes and dispatch in arrival order (the flat
     /// FIFO baseline, for ablations and the scheduler bench).
     bool strict_fifo = false;
@@ -111,9 +105,13 @@ class IoScheduler {
   };
   struct Stats {
     std::array<PriorityStats, kIoPriorityCount> priority{};
+    // Always zero: the scheduler dispatches one request at a time and no
+    // longer merges small transfers. Kept only because the repo benchmark
+    // (benchmark/src/workloads.cpp) still reads them; remove them together
+    // with that reader in the next change to the benchmark.
     u64 coalesced_batches = 0;
-    u64 coalesced_requests = 0;  ///< requests riding in those batches
-    u64 max_queue_depth = 0;     ///< high-water mark across channels
+    u64 coalesced_requests = 0;
+    u64 max_queue_depth = 0;  ///< high-water mark across channels
   };
 
   /// Channels: read+write per `vtier` path (a null vtier leaves only the
@@ -243,11 +241,12 @@ class IoScheduler {
   static u64 effective_bytes(const IoRequest& req);
   u64 execute(IoRequest& req, IoChannel& channel);
   void dispatch_loop(ChannelQueue& q);
-  /// Pick the tenant the next batch dispatches from (backlogged entry of
+  /// Pick the tenant the next request dispatches from (backlogged entry of
   /// q.tenants). Requires q.mutex; q.size must be > 0.
   TenantMap::iterator pick_tenant(ChannelQueue& q) MLPO_REQUIRES(q.mutex);
-  void run_batch(ChannelQueue& q,
-                 std::vector<std::unique_ptr<Pending>>& batch);
+  /// Dispatch one popped request: settle it cancelled or fail-stopped
+  /// without touching the lock, else run it under a channel lease.
+  void run_one(ChannelQueue& q, std::unique_ptr<Pending> p);
   /// The one completion path for a dispatched request, inline or from an
   /// async backend's completion thread: fold its times and outcome into
   /// the global and tenant stats (failed requests still waited and held

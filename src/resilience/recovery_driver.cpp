@@ -9,24 +9,21 @@
 
 namespace mlpo {
 
-void RecoveryDriver::PendingRecovery::add(u32 n, f64 s, u32 lost,
-                                          u64 cancelled_requests) {
+void RecoveryDriver::PendingRecovery::add(u32 n, f64 s, u32 lost) {
   recoveries += n;
   seconds += s;
   lost_iterations += lost;
-  cancelled += cancelled_requests;
 }
 
 void RecoveryDriver::PendingRecovery::reclaim(const IterationReport& dropped) {
   add(dropped.recoveries, dropped.recovery_seconds,
-      dropped.lost_work_iterations, dropped.io_cancelled_on_failure);
+      dropped.lost_work_iterations);
 }
 
 void RecoveryDriver::PendingRecovery::attach(IterationReport& report) {
   report.recoveries = recoveries;
   report.recovery_seconds = seconds;
   report.lost_work_iterations = lost_iterations;
-  report.io_cancelled_on_failure = cancelled;
   *this = PendingRecovery{};
 }
 
@@ -194,7 +191,7 @@ void RecoveryDriver::recover(const NodeFailure& failure, u64 at_iteration,
   stats_.lost_work_iterations += lost;
   stats_.cancelled_requests += cancelled;
 
-  pending_.add(1, recovery_seconds, lost, cancelled);
+  pending_.add(1, recovery_seconds, lost);
 }
 
 std::vector<IterationReport> RecoveryDriver::run(u32 iterations, u32 warmup) {
@@ -250,8 +247,6 @@ std::vector<IterationReport> RecoveryDriver::run(u32 iterations, u32 warmup) {
     completed[warmup].recovery_seconds += completed[k].recovery_seconds;
     completed[warmup].lost_work_iterations +=
         completed[k].lost_work_iterations;
-    completed[warmup].io_cancelled_on_failure +=
-        completed[k].io_cancelled_on_failure;
   }
   return {completed.begin() + warmup, completed.end()};
 }

@@ -15,10 +15,11 @@
 //   3. restores every engine from the last snapshot (pre-staged subgroups
 //      restore from the persistent tier path, the rest from the store),
 //      and rewinds the iteration counter to the snapshot.
-// Recovery time, lost (rolled-back) work, and cancelled-request counts are
-// charged to the first iteration report after the recovery and summed in
-// RecoveryStats, so checkpoint-interval-vs-recovery-cost tradeoffs are
-// measurable — and bench-gated — like every other perf claim.
+// Recovery time and lost (rolled-back) work are charged to the first
+// iteration report after the recovery and summed in RecoveryStats (also
+// the one home of the cancelled-request count), so checkpoint-interval-vs-
+// recovery-cost tradeoffs are measurable — and bench-gated — like every
+// other perf claim.
 #pragma once
 
 #include <memory>
@@ -106,9 +107,8 @@ class RecoveryDriver {
     u32 recoveries = 0;
     f64 seconds = 0;
     u32 lost_iterations = 0;
-    u64 cancelled = 0;
 
-    void add(u32 n, f64 s, u32 lost, u64 cancelled_requests);
+    void add(u32 n, f64 s, u32 lost);
     /// Reclaim the recovery counters a rolled-back report was carrying.
     void reclaim(const IterationReport& dropped);
     /// Move everything onto `report` and reset to zero.

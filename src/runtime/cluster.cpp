@@ -126,8 +126,7 @@ IterationReport ClusterSim::run_iteration(u64 iteration) {
   if (other) std::rethrow_exception(other);
 
   // Synchronous data parallelism: the iteration ends when the slowest node
-  // finishes each phase; counters — including the per-priority I/O
-  // scheduler classes — aggregate across the cluster.
+  // finishes each phase; counters aggregate across the cluster.
   IterationReport merged;
   merged.iteration = iteration;
   for (const auto& r : reports) {

@@ -44,8 +44,7 @@ class ClusterSim {
   void initialize();
 
   /// One synchronous data-parallel iteration across all nodes. The report
-  /// takes phase walls from the slowest node and sums the counters
-  /// (including the per-priority I/O scheduler classes). Throws
+  /// takes phase walls from the slowest node and sums the counters. Throws
   /// NodeFailure when a node's fail-stop wrapper killed it mid-iteration;
   /// any other node error is rethrown as-is.
   IterationReport run_iteration(u64 iteration);

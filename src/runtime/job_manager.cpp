@@ -223,20 +223,6 @@ std::vector<JobResult> JobManager::run() {
     trainer.initialize();
     std::vector<IterationReport> reports =
         trainer.run(spec.iterations, spec.warmup);
-    // Stamp the job's tenant slice on every report so any downstream merge
-    // (fleet aggregation, average_reports) keeps per-tenant SLO accounting.
-    for (auto& r : reports) {
-      TenantSlice slice;
-      slice.tenant = trainer.tenant();
-      slice.iterations = 1;
-      slice.iteration_seconds = r.iteration_seconds();
-      slice.max_iteration_seconds = r.iteration_seconds();
-      const bool hit = spec.deadline_seconds <= 0 ||
-                       r.iteration_seconds() <= spec.deadline_seconds;
-      slice.deadline_hits = hit ? 1 : 0;
-      slice.deadline_misses = hit ? 0 : 1;
-      r.tenants.push_back(slice);
-    }
     JobResult& result = results[i];
     result.name = spec.name;
     result.tenant = trainer.tenant();

@@ -51,7 +51,7 @@ struct JobResult {
   std::string name;
   u32 tenant = 0;
   u32 weight = 1;
-  /// Post-warmup reports, each carrying this job's TenantSlice.
+  /// Post-warmup reports; `slo` is computed from their iteration times.
   std::vector<IterationReport> reports;
   u64 state_checksum = 0;
   JobSloStats slo;
@@ -81,7 +81,6 @@ class JobManager {
   JobManager(const JobManager&) = delete;
   JobManager& operator=(const JobManager&) = delete;
 
-  std::size_t job_count() const { return trainers_.size(); }
   const JobSpec& spec(std::size_t i) const { return cfg_.jobs.at(i); }
   Trainer& job(std::size_t i) { return *trainers_.at(i); }
   ClusterSubstrate& substrate() { return *substrate_; }

@@ -140,8 +140,7 @@ class NodeSim {
   /// Node-wide optimizer-state distribution (Fig. 10): host + per path.
   Engine::Distribution node_distribution() const;
 
-  /// Per-phase cost constants (for reporting/verification).
-  f64 forward_cost_seconds() const { return fwd_seconds_; }
+  /// Backward-phase compute cost constant (for reporting/verification).
   f64 backward_compute_seconds() const { return bwd_seconds_; }
 
  private:

@@ -27,57 +27,17 @@ void IterationReport::accumulate_counters(const IterationReport& r) {
   update_compute_seconds += r.update_compute_seconds;
   host_cache_hits += r.host_cache_hits;
   subgroups_processed += r.subgroups_processed;
-  for (std::size_t c = 0; c < kIoPriorityCount; ++c) {
-    io_classes[c].requests += r.io_classes[c].requests;
-    io_classes[c].cancelled += r.io_classes[c].cancelled;
-    io_classes[c].sim_bytes += r.io_classes[c].sim_bytes;
-    io_classes[c].queue_wait_seconds += r.io_classes[c].queue_wait_seconds;
-    io_classes[c].service_seconds += r.io_classes[c].service_seconds;
-  }
-  io_coalesced_batches += r.io_coalesced_batches;
-  io_max_queue_depth = std::max(io_max_queue_depth, r.io_max_queue_depth);
-  // High-water marks merge as max (like io_max_queue_depth); the other
-  // graph counters are additive like their io_* siblings.
+  // The high-water mark merges as max; the other graph counters are
+  // additive.
   graph_frontier_high_water =
       std::max(graph_frontier_high_water, r.graph_frontier_high_water);
   graph_tasks_stolen += r.graph_tasks_stolen;
   graph_executor_idle_seconds += r.graph_executor_idle_seconds;
-  pool_acquires += r.pool_acquires;
-  pool_heap_fallbacks += r.pool_heap_fallbacks;
   recoveries += r.recoveries;
   recovery_seconds += r.recovery_seconds;
   lost_work_iterations += r.lost_work_iterations;
-  io_cancelled_on_failure += r.io_cancelled_on_failure;
   // Traces concatenate: per-subgroup distributions remain inspectable.
   traces.insert(traces.end(), r.traces.begin(), r.traces.end());
-  // Tenant slices merge by id so fleet-level aggregation never blends two
-  // jobs' SLO accounting (ids are unique per slice by construction here).
-  for (const auto& slice : r.tenants) {
-    TenantSlice* mine = nullptr;
-    for (auto& s : tenants) {
-      if (s.tenant == slice.tenant) {
-        mine = &s;
-        break;
-      }
-    }
-    if (mine == nullptr) {
-      tenants.push_back(slice);
-      continue;
-    }
-    mine->iterations += slice.iterations;
-    mine->iteration_seconds += slice.iteration_seconds;
-    mine->max_iteration_seconds =
-        std::max(mine->max_iteration_seconds, slice.max_iteration_seconds);
-    mine->deadline_hits += slice.deadline_hits;
-    mine->deadline_misses += slice.deadline_misses;
-  }
-}
-
-const TenantSlice* IterationReport::tenant_slice(u32 tenant) const {
-  for (const auto& s : tenants) {
-    if (s.tenant == tenant) return &s;
-  }
-  return nullptr;
 }
 
 IterationReport average_reports(const std::vector<IterationReport>& reports) {
@@ -107,31 +67,14 @@ IterationReport average_reports(const std::vector<IterationReport>& reports) {
       static_cast<u32>(static_cast<f64>(avg.host_cache_hits) / n);
   avg.subgroups_processed =
       static_cast<u32>(static_cast<f64>(avg.subgroups_processed) / n);
-  for (auto& c : avg.io_classes) {
-    c.requests = static_cast<u64>(static_cast<f64>(c.requests) / n);
-    c.cancelled = static_cast<u64>(static_cast<f64>(c.cancelled) / n);
-    c.sim_bytes = static_cast<u64>(static_cast<f64>(c.sim_bytes) / n);
-    c.queue_wait_seconds /= n;
-    c.service_seconds /= n;
-  }
-  avg.io_coalesced_batches =
-      static_cast<u64>(static_cast<f64>(avg.io_coalesced_batches) / n);
   // graph_frontier_high_water stays the max (a high-water mark has no
   // meaningful mean); the additive graph counters average per iteration.
   avg.graph_tasks_stolen =
       static_cast<u64>(static_cast<f64>(avg.graph_tasks_stolen) / n);
   avg.graph_executor_idle_seconds /= n;
-  avg.pool_acquires =
-      static_cast<u64>(static_cast<f64>(avg.pool_acquires) / n);
-  // pool_heap_fallbacks stays a *total* like the recovery counters below:
-  // the churn gate asserts zero, and a fractional mean could round a real
-  // fallback down to nothing.
   // Recovery counters stay *totals* across the averaged window: recoveries
   // are rare discrete events, and "0.33 recoveries per iteration" would
   // round to zero and hide them.
-  // Tenant slices stay totals too (accumulate_counters merged them by id):
-  // SLO hit rates and p99s are computed from whole windows, and averaging
-  // per-tenant iteration *counts* across reports would double-divide them.
   return avg;
 }
 

@@ -54,30 +54,6 @@ std::string TablePrinter::to_string() const {
   return out;
 }
 
-std::string TablePrinter::to_csv() const {
-  const auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (const char c : s) {
-      if (c == '"') q += "\"\"";
-      else q += c;
-    }
-    q += '"';
-    return q;
-  };
-  std::string out;
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) out += ',';
-      out += quote(cells[c]);
-    }
-    out += '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 void TablePrinter::print() const { std::fputs(to_string().c_str(), stdout); }
 
 }  // namespace mlpo

@@ -1,5 +1,5 @@
-// Fixed-width console table and CSV emission for bench harnesses, so every
-// figure/table binary prints the same row/series format the paper reports.
+// Fixed-width console table for bench harnesses, so every figure/table
+// binary prints the same row/series format the paper reports.
 #pragma once
 
 #include <string>
@@ -22,8 +22,6 @@ class TablePrinter {
 
   /// Render with column auto-sizing and a header rule.
   std::string to_string() const;
-  /// Comma-separated (quoted where needed) for post-processing.
-  std::string to_csv() const;
 
   void print() const;
 

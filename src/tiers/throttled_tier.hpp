@@ -69,10 +69,6 @@ class ThrottledTier : public StorageTier {
 
   StorageTier& backend() { return *backend_; }
 
-  /// Concurrent in-flight requests per direction (exposed for tests).
-  u32 inflight_reads() const { return inflight_reads_.load(); }
-  u32 inflight_writes() const { return inflight_writes_.load(); }
-
  private:
   /// Pass sim_bytes through `channel` in chunks; returns elapsed vseconds.
   /// `self_inflight`/`other_inflight` select the direction counters so the

@@ -37,14 +37,14 @@ void VirtualTier::write_to(std::size_t path_idx, const std::string& key,
   {
     ReaderMutexLock lock(mutex_);
     const auto it = locations_.find(key);
-    if (it != locations_.end()) previous = it->second.path;
+    if (it != locations_.end()) previous = it->second;
   }
 
   paths_[path_idx].tier->write(key, data, sim_bytes);
 
   {
     WriterMutexLock lock(mutex_);
-    locations_[key] = Location{path_idx, sim_bytes ? sim_bytes : data.size()};
+    locations_[key] = path_idx;
   }
   if (previous != npos && previous != path_idx) {
     paths_[previous].tier->erase(key);
@@ -72,17 +72,16 @@ void VirtualTier::write_to_async(std::size_t path_idx, const std::string& key,
   {
     ReaderMutexLock lock(mutex_);
     const auto it = locations_.find(key);
-    if (it != locations_.end()) previous = it->second.path;
+    if (it != locations_.end()) previous = it->second;
   }
-  const u64 recorded = sim_bytes != 0 ? sim_bytes : data.size();
   paths_[path_idx].tier->write_async(
       key, data, sim_bytes,
-      [this, path_idx, key, recorded, previous,
+      [this, path_idx, key, previous,
        done = std::move(done)](std::exception_ptr error) {
         if (!error) {
           {
             WriterMutexLock lock(mutex_);
-            locations_[key] = Location{path_idx, recorded};
+            locations_[key] = path_idx;
           }
           if (previous != npos && previous != path_idx) {
             paths_[previous].tier->erase(key);
@@ -115,7 +114,7 @@ void VirtualTier::peek(const std::string& key, std::span<u8> out) const {
 std::size_t VirtualTier::locate(const std::string& key) const {
   ReaderMutexLock lock(mutex_);
   const auto it = locations_.find(key);
-  return it == locations_.end() ? npos : it->second.path;
+  return it == locations_.end() ? npos : it->second;
 }
 
 void VirtualTier::erase(const std::string& key) {
@@ -124,19 +123,10 @@ void VirtualTier::erase(const std::string& key) {
     WriterMutexLock lock(mutex_);
     const auto it = locations_.find(key);
     if (it == locations_.end()) return;
-    idx = it->second.path;
+    idx = it->second;
     locations_.erase(it);
   }
   paths_[idx].tier->erase(key);
-}
-
-std::vector<u64> VirtualTier::resident_sim_bytes() const {
-  ReaderMutexLock lock(mutex_);
-  std::vector<u64> per_path(paths_.size(), 0);
-  for (const auto& [key, loc] : locations_) {
-    per_path[loc.path] += loc.sim_bytes;
-  }
-  return per_path;
 }
 
 }  // namespace mlpo

@@ -93,20 +93,14 @@ class VirtualTier {
   bool exists(const std::string& key) const { return locate(key) != npos; }
   void erase(const std::string& key);
 
-  /// Simulated bytes resident per path (location-map bookkeeping, not
-  /// backend scans).
-  std::vector<u64> resident_sim_bytes() const;
-
  private:
   /// paths_ is append-only during setup and immutable once I/O starts, so
   /// it is deliberately not guarded; locations_ is the hot shared map.
   std::vector<Path> paths_;
   mutable SharedMutex mutex_;
-  struct Location {
-    std::size_t path;
-    u64 sim_bytes;
-  };
-  std::unordered_map<std::string, Location> locations_ MLPO_GUARDED_BY(mutex_);
+  /// Key -> index of the path holding it.
+  std::unordered_map<std::string, std::size_t> locations_
+      MLPO_GUARDED_BY(mutex_);
 };
 
 }  // namespace mlpo

@@ -87,12 +87,6 @@ class Subgroup {
   /// transfer of this subgroup costs, paper's 12 B/param payload.
   u64 sim_state_bytes() const { return sim_params_ * kOptimStateBytesPerParam; }
 
-  /// Simulated bytes when FP32 gradients ride along (ZeRO-3 baseline
-  /// behaviour, 16 B/param).
-  u64 sim_state_with_grad_bytes() const {
-    return sim_params_ * kOptimStateWithGradBytesPerParam;
-  }
-
   /// Simulated FP16 parameter bytes (what H2D pushes back to the GPU).
   u64 sim_fp16_param_bytes() const { return sim_params_ * kFp16Bytes; }
 

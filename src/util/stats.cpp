@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 namespace mlpo {
 
@@ -54,70 +53,6 @@ f64 percentile(std::vector<f64> samples, f64 q) {
   const std::size_t hi = std::min(lo + 1, samples.size() - 1);
   const f64 frac = idx - static_cast<f64>(lo);
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-namespace {
-
-// Validation must run before the member initializers: width_ divides by
-// `buckets`, so the bad-argument check has to precede that computation, not
-// follow it in the constructor body.
-std::size_t validated_histogram_buckets(f64 lo, f64 hi, std::size_t buckets) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-  return buckets;
-}
-
-}  // namespace
-
-Histogram::Histogram(f64 lo, f64 hi, std::size_t buckets)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) /
-             static_cast<f64>(validated_histogram_buckets(lo, hi, buckets))),
-      counts_(buckets, 0) {}
-
-void Histogram::add(f64 x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-f64 Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<f64>(i);
-}
-
-f64 Histogram::bucket_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<f64>(i + 1);
-}
-
-std::string Histogram::ascii(std::size_t max_width) const {
-  const u64 peak = counts_.empty()
-      ? 0
-      : *std::max_element(counts_.begin(), counts_.end());
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar = peak
-        ? static_cast<std::size_t>(static_cast<f64>(counts_[i]) /
-                                   static_cast<f64>(peak) *
-                                   static_cast<f64>(max_width))
-        : 0;
-    std::snprintf(line, sizeof(line), "[%8.3f, %8.3f) %6llu ",
-                  bucket_lo(i), bucket_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace mlpo

@@ -1,9 +1,7 @@
 // Lightweight statistics helpers used by telemetry and the benchmark
-// harnesses: Welford running moments, percentile extraction, and fixed-width
-// histograms for throughput traces (e.g. Fig. 5's per-subgroup series).
+// harnesses: Welford running moments and percentile extraction.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "util/common.hpp"
@@ -36,27 +34,4 @@ class RunningStats {
 /// Percentile with linear interpolation between order statistics.
 /// `q` in [0,1]. Copies and sorts; intended for post-run analysis.
 f64 percentile(std::vector<f64> samples, f64 q);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets so no sample is silently dropped.
-class Histogram {
- public:
-  Histogram(f64 lo, f64 hi, std::size_t buckets);
-
-  void add(f64 x);
-  u64 total() const { return total_; }
-  const std::vector<u64>& buckets() const { return counts_; }
-  f64 bucket_lo(std::size_t i) const;
-  f64 bucket_hi(std::size_t i) const;
-
-  /// Render a compact ASCII bar chart (one line per bucket), used by bench
-  /// binaries to visualise distributions in terminal output.
-  std::string ascii(std::size_t max_width = 50) const;
-
- private:
-  f64 lo_, hi_, width_;
-  std::vector<u64> counts_;
-  u64 total_ = 0;
-};
-
 }  // namespace mlpo

@@ -159,9 +159,7 @@ TEST(TenancyHammer, BullyFailStopLeavesSurvivorLatencyAndDataIntact) {
   constexpr int kSurvivorReads = 96;
   constexpr int kBullyWrites = 200;  // per half, around the fail-stop
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
   MemoryTier tier("tenancy-shared");
 
   // Survivor payloads, written directly (setup, not under test).

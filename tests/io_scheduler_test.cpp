@@ -1,7 +1,6 @@
 // IoScheduler: priority ordering, per-channel backpressure, cancellation
-// of queued requests, small-transfer coalescing, completion callbacks on
-// the inline and async paths, the owned link limiters, and the strict-FIFO
-// baseline mode.
+// of queued requests, completion callbacks on the inline and async paths,
+// the owned link limiters, and the strict-FIFO baseline mode.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -29,9 +28,8 @@ namespace {
 using namespace std::chrono_literals;
 
 // A request whose work parks its dispatch thread until `gate` is released.
-// Oversized so the coalescer never merges it with followers. Pass `tier`
-// to park that tier's dedicated external channel; `entered` (if given)
-// resolves once the blocker is executing.
+// Pass `tier` to park that tier's dedicated external channel; `entered`
+// (if given) resolves once the blocker is executing.
 IoRequest blocker(std::shared_future<void> gate,
                   std::promise<void>* entered = nullptr,
                   StorageTier* tier = nullptr) {
@@ -66,7 +64,7 @@ IoRequest tagged(IoPriority priority, std::vector<IoPriority>* order,
   req.op = IoOp::kWrite;
   req.target = IoTarget::kExternal;
   req.key = io_priority_name(priority);
-  req.sim_bytes = 8 * MiB;  // above any coalescing threshold
+  req.sim_bytes = 8 * MiB;
   req.priority = priority;
   req.work = [priority, order, mu](IoChannel&) -> u64 {
     std::lock_guard lk(*mu);
@@ -78,9 +76,7 @@ IoRequest tagged(IoPriority priority, std::vector<IoPriority>* order,
 
 TEST(IoScheduler, DispatchesByPriorityClassNotArrivalOrder) {
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -108,7 +104,6 @@ TEST(IoScheduler, DispatchesByPriorityClassNotArrivalOrder) {
 TEST(IoScheduler, StrictFifoDispatchesInArrivalOrder) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
   cfg.strict_fifo = true;
   IoScheduler sched(clock, nullptr, cfg);
 
@@ -137,7 +132,6 @@ TEST(IoScheduler, SubmitBlocksWhenChannelQueueIsFull) {
   SimClock clock(1.0);
   IoScheduler::Config cfg;
   cfg.queue_depth = 4;
-  cfg.coalesce_max_sim_bytes = 0;
   IoScheduler sched(clock, nullptr, cfg);
 
   std::promise<void> go;
@@ -183,9 +177,7 @@ TEST(IoScheduler, SubmitBlocksWhenChannelQueueIsFull) {
 
 TEST(IoScheduler, CancelledQueuedFlushesAreDroppedAtDispatch) {
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -238,46 +230,6 @@ TEST(IoScheduler, CancelledQueuedFlushesAreDroppedAtDispatch) {
       stats.priority[static_cast<std::size_t>(IoPriority::kLazyFlush)];
   EXPECT_EQ(flush.cancelled, 3u);
   EXPECT_EQ(flush.completed, 1u);
-}
-
-TEST(IoScheduler, SmallTransfersCoalesceUnderOneDispatch) {
-  SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 64 * KiB;
-  cfg.coalesce_batch = 8;
-  IoScheduler sched(clock, nullptr, cfg);
-  MemoryTier store("store");
-
-  // Park the store's dedicated external channel (requests naming a tier
-  // dispatch on a per-tier channel, not the default external queue).
-  std::promise<void> go;
-  std::promise<void> entered;
-  auto f0 = sched.submit(blocker(go.get_future().share(), &entered, &store));
-  entered.get_future().wait();
-
-  const std::vector<u8> payload(128, 0xAB);
-  IoBatch batch;
-  for (int i = 0; i < 4; ++i) {
-    IoRequest req;
-    req.op = IoOp::kWrite;
-    req.target = IoTarget::kExternal;
-    req.tier = &store;
-    req.key = "small" + std::to_string(i);
-    req.src = payload;
-    req.sim_bytes = 4 * KiB;
-    req.priority = IoPriority::kCheckpoint;
-    batch.add(sched.submit(std::move(req)));
-  }
-  go.set_value();
-  f0.get();
-  batch.wait_all();
-
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(store.exists("small" + std::to_string(i))) << i;
-  }
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.coalesced_batches, 1u);
-  EXPECT_EQ(stats.coalesced_requests, 4u);
 }
 
 TEST(IoScheduler, TierRoundtripWithAutoPathReadRouting) {
@@ -686,7 +638,6 @@ TEST(IoSchedulerTenancy, WeightedFairShareOnSaturatedChannel) {
   // get ~3/4 of the early dispatches, and the light tenant must not starve.
   SimClock clock(1.0);
   IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
   cfg.tenant_weights = {{1, 1}, {2, 3}};
   cfg.fair_share_quantum_bytes = 8 * MiB;  // one request per unit weight
   IoScheduler sched(clock, nullptr, cfg);
@@ -730,7 +681,6 @@ TEST(IoSchedulerTenancy, LightTenantUrgencyServedWithinItsShare) {
   // most of a heavy tenant's flush backlog — not behind all of it.
   SimClock clock(1.0);
   IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
   cfg.tenant_weights = {{1, 1}, {2, 4}};
   cfg.fair_share_quantum_bytes = 8 * MiB;
   IoScheduler sched(clock, nullptr, cfg);
@@ -761,9 +711,7 @@ TEST(IoSchedulerTenancy, LightTenantUrgencyServedWithinItsShare) {
 
 TEST(IoSchedulerTenancy, CancelTenantQueuedScopesToOneTenant) {
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -789,9 +737,7 @@ TEST(IoSchedulerTenancy, CancelTenantQueuedScopesToOneTenant) {
 
 TEST(IoSchedulerTenancy, CancelByPriorityAndTenantIsDoublyScoped) {
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -812,9 +758,7 @@ TEST(IoSchedulerTenancy, CancelByPriorityAndTenantIsDoublyScoped) {
 
 TEST(IoSchedulerTenancy, FailTenantSettlesQueuedAndRejectsNewSubmits) {
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
 
   std::promise<void> go;
   auto f0 = sched.submit(blocker(go.get_future().share()));
@@ -893,9 +837,7 @@ TEST(IoSchedulerTenancy, TenantZeroStatsMirrorGlobalWhenAlone) {
   // Stats are kept globally and per tenant through the same funnel: a
   // single-tenant scheduler's tenant-0 slice must equal its global view.
   SimClock clock(1.0);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler sched(clock, nullptr, cfg);
+  IoScheduler sched(clock, nullptr, {});
   IoBatch batch;
   batch.add(sched.submit(tenant_req(0, IoPriority::kDemandPrefetch)));
   batch.add(sched.submit(tenant_req(0, IoPriority::kLazyFlush)));

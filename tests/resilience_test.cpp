@@ -270,11 +270,7 @@ TEST(IoSchedulerCancellation, QueuedRequestsDropWithIoCancelled) {
   VirtualTier vtier;
   auto gate = std::make_shared<GateTier>("gate");
   vtier.add_path(gate);
-  // Coalescing off: the waiting requests must sit in the queue (not ride
-  // the first dispatch batch) for cancellation to have a target.
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler io(clock, &vtier, cfg);
+  IoScheduler io(clock, &vtier, {});
 
   const std::vector<u8> payload(64, 0xAB);
   for (int i = 0; i < 5; ++i) {
@@ -308,9 +304,7 @@ TEST(IoSchedulerCancellation, PriorityFilterLeavesOtherClassesQueued) {
   VirtualTier vtier;
   auto gate = std::make_shared<GateTier>("gate");
   vtier.add_path(gate);
-  IoScheduler::Config cfg;
-  cfg.coalesce_max_sim_bytes = 0;
-  IoScheduler io(clock, &vtier, cfg);
+  IoScheduler io(clock, &vtier, {});
 
   const std::vector<u8> payload(64, 1);
   for (int i = 0; i < 3; ++i) {

@@ -38,7 +38,6 @@ TEST(Subgroup, RejectsBadArguments) {
 TEST(Subgroup, SimByteSizesFollowPaperLayout) {
   Subgroup sg(0, 100'000'000, 8192);
   EXPECT_EQ(sg.sim_state_bytes(), 1'200'000'000u);            // 12 B/param
-  EXPECT_EQ(sg.sim_state_with_grad_bytes(), 1'600'000'000u);  // 16 B/param
   EXPECT_EQ(sg.sim_fp16_param_bytes(), 200'000'000u);         // 2 B/param
 }
 

@@ -101,80 +101,6 @@ TEST(IterationReport, SubgroupTraceThroughputs) {
   EXPECT_EQ(idle.read_throughput(), 0.0);
 }
 
-TEST(IterationReport, TenantSlicesMergeByTenantId) {
-  IterationReport a;
-  TenantSlice s1;
-  s1.tenant = 1;
-  s1.iterations = 2;
-  s1.iteration_seconds = 4.0;
-  s1.max_iteration_seconds = 3.0;
-  s1.deadline_hits = 1;
-  s1.deadline_misses = 1;
-  a.tenants.push_back(s1);
-
-  IterationReport b;
-  TenantSlice s1b;  // same tenant: additive fields sum, max takes max
-  s1b.tenant = 1;
-  s1b.iterations = 1;
-  s1b.iteration_seconds = 5.0;
-  s1b.max_iteration_seconds = 5.0;
-  s1b.deadline_hits = 0;
-  s1b.deadline_misses = 1;
-  TenantSlice s2;  // unseen tenant: concatenated, not blended into s1
-  s2.tenant = 2;
-  s2.iterations = 7;
-  s2.iteration_seconds = 7.0;
-  s2.max_iteration_seconds = 1.5;
-  b.tenants.push_back(s1b);
-  b.tenants.push_back(s2);
-
-  a.accumulate_counters(b);
-  ASSERT_EQ(a.tenants.size(), 2u);
-  const TenantSlice* m1 = a.tenant_slice(1);
-  ASSERT_NE(m1, nullptr);
-  EXPECT_EQ(m1->iterations, 3u);
-  EXPECT_DOUBLE_EQ(m1->iteration_seconds, 9.0);
-  EXPECT_DOUBLE_EQ(m1->max_iteration_seconds, 5.0);
-  EXPECT_EQ(m1->deadline_hits, 1u);
-  EXPECT_EQ(m1->deadline_misses, 2u);
-  EXPECT_DOUBLE_EQ(m1->mean_iteration_seconds(), 3.0);
-  EXPECT_DOUBLE_EQ(m1->deadline_hit_rate(), 1.0 / 3.0);
-  const TenantSlice* m2 = a.tenant_slice(2);
-  ASSERT_NE(m2, nullptr);
-  EXPECT_EQ(m2->iterations, 7u);
-  EXPECT_EQ(a.tenant_slice(3), nullptr);
-}
-
-TEST(IterationReport, AverageKeepsTenantSlicesAsTotals) {
-  // average_reports divides the per-iteration counters by N, but tenant
-  // slices are already totals over the window — dividing them again would
-  // halve every job's iteration count.
-  std::vector<IterationReport> reports(2);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    TenantSlice s;
-    s.tenant = 1;
-    s.iterations = 1;
-    s.iteration_seconds = 2.0;
-    s.max_iteration_seconds = 2.0;
-    s.deadline_hits = 1;
-    reports[i].tenants.push_back(s);
-  }
-  const IterationReport avg = average_reports(reports);
-  const TenantSlice* slice = avg.tenant_slice(1);
-  ASSERT_NE(slice, nullptr);
-  EXPECT_EQ(slice->iterations, 2u);
-  EXPECT_DOUBLE_EQ(slice->iteration_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(slice->max_iteration_seconds, 2.0);
-  EXPECT_EQ(slice->deadline_hits, 2u);
-  EXPECT_DOUBLE_EQ(slice->deadline_hit_rate(), 1.0);
-}
-
-TEST(TenantSlice, DerivedRatesHandleEmptyWindows) {
-  TenantSlice s;
-  EXPECT_DOUBLE_EQ(s.mean_iteration_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(s.deadline_hit_rate(), 1.0);  // no deadline = never missed
-}
-
 TEST(TablePrinter, AlignedOutput) {
   TablePrinter table({"Model", "Update (s)", "Speedup"});
   table.add_row({"40B", TablePrinter::num(242.3), "1.0x"});
@@ -189,19 +115,10 @@ TEST(TablePrinter, AlignedOutput) {
   }
 }
 
-TEST(TablePrinter, CsvEscapesSpecials) {
-  TablePrinter table({"name", "value"});
-  table.add_row({"has,comma", "has\"quote"});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(TablePrinter, ShortRowsPadded) {
   TablePrinter table({"a", "b", "c"});
   table.add_row({"only-one"});
   EXPECT_NO_THROW(table.to_string());
-  EXPECT_NO_THROW(table.to_csv());
 }
 
 TEST(TablePrinter, NumberFormatHelpers) {

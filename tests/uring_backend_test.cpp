@@ -117,6 +117,14 @@ TEST_P(AsyncFileBackendTest, ConcurrentOpsAllComplete) {
              [p](int err, u64) { p->set_value(err); });
   }
   for (auto& f : done) EXPECT_EQ(f.get(), 0);
+  // An op stays counted in flight until its callback has returned (the
+  // contract the destructor's drain relies on), so the last future can
+  // resolve a moment before the count drops: wait for it, with a bound.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (be.in_flight() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(be.in_flight(), 0u);
 
   for (int i = 0; i < kOps; ++i) {

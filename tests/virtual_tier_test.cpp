@@ -76,20 +76,6 @@ TEST_F(VirtualTierTest, EraseRemovesObjectAndLocation) {
   vtier_.erase("k");  // idempotent
 }
 
-TEST_F(VirtualTierTest, ResidentBytesTrackSimSizes) {
-  vtier_.write_to(0, "a", make_data(10), /*sim_bytes=*/1000);
-  vtier_.write_to(0, "b", make_data(10), 500);
-  vtier_.write_to(1, "c", make_data(10), 2000);
-  const auto resident = vtier_.resident_sim_bytes();
-  EXPECT_EQ(resident[0], 1500u);
-  EXPECT_EQ(resident[1], 2000u);
-  // Migration moves the accounting.
-  vtier_.write_to(1, "a", make_data(10), 1000);
-  const auto after = vtier_.resident_sim_bytes();
-  EXPECT_EQ(after[0], 500u);
-  EXPECT_EQ(after[1], 3000u);
-}
-
 TEST_F(VirtualTierTest, PathBandwidthsAreMinOfReadWrite) {
   const auto bws = vtier_.path_bandwidths();
   ASSERT_EQ(bws.size(), 2u);

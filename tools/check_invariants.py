@@ -64,6 +64,15 @@ Checked invariants:
      itself; a serialize/deserialize call anywhere else in an engine is a
      staging copy of every subgroup coming back (dropping the fetch and
      flush copies cut floor_mem's CPU time per iteration by 10%).
+ 11. Every data member of IterationReport (src/telemetry/
+     iteration_report.hpp) is read as `.member` or `->member` somewhere in
+     bench/, examples/ or benchmark/, with comments and string literals
+     stripped. A member only tests read is a counter written, merged and
+     averaged for nobody: seven such members (per-priority I/O classes,
+     coalesced batches, queue depth, pool counters, cancelled-on-failure,
+     tenant slices) once rode every report while their readers went to
+     the owners (IoScheduler::stats(), OffloadEngine::scratch_stats(),
+     RecoveryStats, JobSloStats). A counter with an owner is read there.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -315,6 +324,76 @@ def check_no_subgroup_staging_copies() -> None:
             )
 
 
+REPORT_HEADER = "src/telemetry/iteration_report.hpp"
+REPORT_STRUCT_RE = re.compile(r"\bstruct\s+IterationReport\s*\{")
+# Comments, raw strings, string and char literals: stripped together so a
+# "//" inside a string cannot start a comment. C++14 digit separators are
+# dropped first so 1'000'000 is not read as a char literal.
+CODE_NOISE_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|R\"([^(\s]*)\(.*?\)\1\"|\"(?:\\.|[^\"\\\n])*\""
+    r"|'(?:\\.|[^'\\\n])*'",
+    re.S)
+DIGIT_SEPARATOR_RE = re.compile(r"(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])")
+ACCESS_LABEL_RE = re.compile(r"\b(?:public|private|protected)\s*:")
+
+
+def strip_code_noise(text: str) -> str:
+    return CODE_NOISE_RE.sub(" ", DIGIT_SEPARATOR_RE.sub("", text))
+
+
+def report_members() -> list[str]:
+    """Data members of IterationReport: top-level declarations of its body
+    with every brace block (method bodies, brace initialisers) removed;
+    a declaration with '(' before any '=' is a function."""
+    code = strip_code_noise((REPO / REPORT_HEADER).read_text())
+    bodies = brace_bodies(code, REPORT_STRUCT_RE)
+    if not bodies:
+        return []
+    start, end = bodies[0]
+    flat, depth = [], 0
+    for ch in code[start + 1:end]:
+        if ch == "{":
+            if depth == 0:
+                flat.append(";")
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif depth == 0:
+            flat.append(ch)
+    members = []
+    for decl in ACCESS_LABEL_RE.sub(" ", "".join(flat)).split(";"):
+        head = decl.split("=")[0].strip()
+        if not head or "(" in head or head.startswith(("using ", "static ",
+                                                       "friend ")):
+            continue
+        name = re.findall(r"[A-Za-z_]\w*", head)
+        if len(name) >= 2:
+            members.append(name[-1])
+    return members
+
+
+def check_report_members_have_readers() -> None:
+    members = report_members()
+    if not members:
+        fail(f"parsed no IterationReport data members from {REPORT_HEADER} "
+             f"— either the struct moved or the parser regressed")
+        return
+    code = []
+    for top in ("bench", "examples", "benchmark"):
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix in (".cpp", ".hpp", ".h", ".cc") and path.is_file():
+                code.append(strip_code_noise(path.read_text()))
+    code_text = "\n".join(code)
+    for member in members:
+        if not re.search(rf"(?:\.|->)\s*{member}\b", code_text):
+            fail(
+                f"IterationReport::{member} ({REPORT_HEADER}) is read nowhere "
+                f"in bench/, examples/ or benchmark/ — a report member only "
+                f"tests read is a write-only counter; read it from its owner "
+                f"or delete it"
+            )
+
+
 def check_tenancy_suites(cases: dict[str, dict]) -> None:
     if "tenancy" not in ctest_labels_defined():
         fail(
@@ -492,6 +571,7 @@ def main() -> int:
     check_engine_io_contract()
     check_engine_base_owns_the_step()
     check_no_subgroup_staging_copies()
+    check_report_members_have_readers()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
