@@ -33,7 +33,13 @@ class SimClock {
   /// Block the calling thread for `virtual_secs` of virtual time.
   void sleep_for(f64 virtual_secs) const;
 
-  /// Block until the virtual clock reads at least `virtual_time`.
+  /// Block until the virtual clock reads at least `virtual_time`. Returns
+  /// only once now() >= virtual_time, typically within ~1 us real of it.
+  /// The thread sleeps in the kernel until 100 us real before the deadline
+  /// and spins only that margin, so a wait costs a core only for its last
+  /// 100 us; the first wait on a thread sets that thread's timer slack to
+  /// 1 ns (Linux) so the kernel wakes it on time. This is the one place in
+  /// src/ that waits on real time (lint invariant #12).
   void sleep_until(f64 virtual_time) const;
 
  private:

@@ -73,6 +73,17 @@ Checked invariants:
      tenant slices) once rode every report while their readers went to
      the owners (IoScheduler::stats(), OffloadEngine::scratch_stats(),
      RecoveryStats, JobSloStats). A counter with an owner is read there.
+ 12. Within src/, only util/sim_clock.cpp waits on real time: no
+     this_thread::sleep_for/sleep_until/yield, sched_yield, usleep,
+     nanosleep/clock_nanosleep, __builtin_ia32_pause/_mm_pause or
+     PR_SET_TIMERSLACK anywhere else (comments and string literals
+     stripped; condition-variable waits stay allowed). Every modelled
+     transfer, link and compute wait ends in SimClock::sleep_until, whose
+     kernel sleep, wake-up margin and timer slack are tuned together so a
+     wait costs a core only for its last 100 us; a second sleep or spin
+     loop elsewhere escapes that tuning (the old spin-through-2.5 ms wait
+     burned 0.55 CPU-s per mlp_40b iteration) and would be a second
+     blocking point for a discrete-event clock to replace.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -338,7 +349,10 @@ ACCESS_LABEL_RE = re.compile(r"\b(?:public|private|protected)\s*:")
 
 
 def strip_code_noise(text: str) -> str:
-    return CODE_NOISE_RE.sub(" ", DIGIT_SEPARATOR_RE.sub("", text))
+    """Blank out comments and literals, keeping their newlines so offsets
+    still map to lines."""
+    return CODE_NOISE_RE.sub(lambda m: " " + "\n" * m.group(0).count("\n"),
+                             DIGIT_SEPARATOR_RE.sub("", text))
 
 
 def report_members() -> list[str]:
@@ -391,6 +405,30 @@ def check_report_members_have_readers() -> None:
                 f"in bench/, examples/ or benchmark/ — a report member only "
                 f"tests read is a write-only counter; read it from its owner "
                 f"or delete it"
+            )
+
+
+SIM_CLOCK_TU = "src/util/sim_clock.cpp"
+REAL_TIME_WAIT_RE = re.compile(
+    r"\bthis_thread\s*::\s*(?:sleep_for|sleep_until|yield)\b"
+    r"|\b(?:sched_yield|usleep|nanosleep|clock_nanosleep|"
+    r"__builtin_ia32_pause|_mm_pause|PR_SET_TIMERSLACK)\b")
+
+
+def check_one_real_time_wait() -> None:
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".hpp", ".cpp", ".h") or not path.is_file():
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        if rel == SIM_CLOCK_TU:
+            continue
+        code = strip_code_noise(path.read_text())
+        for m in REAL_TIME_WAIT_RE.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            fail(
+                f"{rel}:{line} waits on real time ({m.group(0)}) — within "
+                f"src/ only {SIM_CLOCK_TU} may sleep, yield or spin; wait "
+                f"through SimClock::sleep_until or a condition variable"
             )
 
 
@@ -572,6 +610,7 @@ def main() -> int:
     check_engine_base_owns_the_step()
     check_no_subgroup_staging_copies()
     check_report_members_have_readers()
+    check_one_real_time_wait()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
