@@ -14,7 +14,6 @@ CpuOnlyEngine::CpuOnlyEngine(const EngineContext& ctx,
   for (const auto& sg : subgroups_) {
     max_elems = std::max(max_elems, sg->real_elems());
   }
-  grad_scratch_.reserve(max_elems);
   fp32_scratch_.reserve(max_elems);
 }
 
@@ -32,10 +31,8 @@ void CpuOnlyEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
     req.tenant = ctx_.tenant;
     ctx_.io->submit(std::move(req)).get();
   }
-  // Deposits are synchronous on the caller thread, so the reserved-once
-  // member scratch is race-free (and allocation-free after the first use).
-  grad_scratch_.resize(sg.real_elems());
-  deposit_fp16(sample_index, subgroup_id, first_micro_step, grad_scratch_);
+  // Synchronous: the deposit is done on return.
+  deposit_fp16_async(sample_index, subgroup_id, first_micro_step).get();
 }
 
 void CpuOnlyEngine::deposit_gradients(u64 sample_index,

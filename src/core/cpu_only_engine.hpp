@@ -49,10 +49,9 @@ class CpuOnlyEngine final : public Engine {
   /// Pure-compute update phase over all subgroups, in id order.
   void update_phase(u64 iteration, IterationReport& report) override;
 
-  /// Reserved-once scratch: deposits and updates are serial per engine, so
-  /// member buffers (not a pool) suffice to keep the steady-state path free
-  /// of heap churn.
-  std::vector<u16> grad_scratch_;
+  /// Reserved-once upscale scratch: updates are serial per engine, so a
+  /// member buffer (not a pool) keeps the steady-state path free of heap
+  /// churn.
   std::vector<f32> fp32_scratch_;
 };
 

@@ -198,16 +198,35 @@ std::string Engine::tenant_key(std::string key) const {
   return "t" + std::to_string(ctx_.tenant) + "/" + key;
 }
 
-void Engine::deposit_fp16(u64 sample_index, u32 id, bool first_micro_step,
-                          std::span<u16> scratch) {
-  ctx_.grads->generate_fp16(layout_.content_rank(), layout_.global_id(id),
-                            sample_index, scratch);
-  // Accumulation fans out through the CPU pool internally.
-  if (first_micro_step) {
-    accum_->store(id, scratch);
-  } else {
-    accum_->accumulate(id, scratch, ctx_.cpu_pool);
+std::shared_future<void> Engine::deposit_fp16_async(u64 sample_index, u32 id,
+                                                    bool first_micro_step) {
+  const auto host_part = [this, sample_index, id, first_micro_step] {
+    deposit_fp16(sample_index, id, first_micro_step);
+  };
+  if (ctx_.cpu_pool != nullptr) {
+    return ctx_.cpu_pool->submit(host_part).share();
   }
+  std::packaged_task<void()> inline_part(host_part);
+  inline_part();
+  return inline_part.get_future().share();
+}
+
+void Engine::deposit_fp16(u64 sample_index, u32 id, bool first_micro_step) {
+  const auto generate = [&](std::span<u16> out) {
+    ctx_.grads->generate_fp16(layout_.content_rank(), layout_.global_id(id),
+                              sample_index, out);
+  };
+  if (first_micro_step) {
+    generate(accum_->fp16(id));  // the bits store() would copy there
+    return;
+  }
+  // A thread runs one host part at a time, so one scratch per thread
+  // suffices; it grows to the largest subgroup once and is reused.
+  thread_local std::vector<u16> scratch;
+  scratch.resize(accum_->elems(id));
+  generate(scratch);
+  // From a pool worker this runs inline (ThreadPool::parallel_for).
+  accum_->accumulate(id, scratch, ctx_.cpu_pool);
 }
 
 f64 Engine::update_subgroup(u32 id, std::vector<f32>& grads_fp32,

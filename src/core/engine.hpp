@@ -8,8 +8,11 @@
 //     images it allocates in one pre-faulted slab, and the host FP16
 //     gradient accumulation buffer;
 //   * deterministic parameter init and the initialize-once contract;
-//   * the gradient deposit body: generate FP16 gradients, then store or
-//     accumulate them (the caller supplies the scratch);
+//   * the host part of every gradient deposit: generate FP16 gradients,
+//     then store or accumulate them. It runs on the CPU pool (inline
+//     without one), one task per subgroup, so deposits of different
+//     subgroups proceed in parallel; the D2H link request an engine
+//     submits beside it carries only the modelled link time;
 //   * the charged update step: upscale + conversion charge, Adam, and the
 //     residual cpu_update_rate budget, which is the compute time reported;
 //   * the "t<tenant>/" storage-key prefix, the scalar option and context
@@ -172,7 +175,9 @@ class Engine {
   void initialize();
 
   /// Deposit one subgroup's FP16 gradients for micro-step `sample_index`
-  /// (globally unique across iterations x accumulation steps).
+  /// (globally unique across iterations x accumulation steps). All of a
+  /// micro-step's deposits must be awaited with wait_gradient_io() before
+  /// the next micro-step deposits: that barrier orders accumulation.
   virtual void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
                                        bool first_micro_step,
                                        bool final_micro_step) = 0;
@@ -257,11 +262,12 @@ class Engine {
   /// "t<tenant>/" prefix; tenant 0 keeps the unprefixed keys.
   std::string tenant_key(std::string key) const;
 
-  /// Generate local subgroup `id`'s FP16 gradients for `sample_index` into
-  /// `scratch` (sized to the subgroup's real elements), then store them
-  /// (first micro-step) or add them into the accumulation buffer.
-  void deposit_fp16(u64 sample_index, u32 id, bool first_micro_step,
-                    std::span<u16> scratch);
+  /// The host part of a gradient deposit, as a task on ctx.cpu_pool (run
+  /// inline without a pool): deposit_fp16() for local subgroup `id`. The
+  /// engines add the returned future to their gradient batch, so
+  /// wait_gradient_io() and their destructors wait for it.
+  std::shared_future<void> deposit_fp16_async(u64 sample_index, u32 id,
+                                              bool first_micro_step);
 
   /// One charged optimizer step of local subgroup `id` (Alg. 1 l.6-7):
   /// with `upscale`, convert the accumulated FP16 gradients into
@@ -284,6 +290,11 @@ class Engine {
   std::unique_ptr<GradAccumulator> accum_;
 
  private:
+  /// Generate local subgroup `id`'s FP16 gradients for `sample_index`.
+  /// The first micro-step writes them straight into its accumulation
+  /// buffer; later ones generate into a per-thread scratch and add it in.
+  void deposit_fp16(u64 sample_index, u32 id, bool first_micro_step);
+
   bool initialized_ = false;
 };
 

@@ -50,22 +50,18 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
 
   host_valid_.assign(subgroups_.size(), 0);
 
-  // The pool holds only the deposit path's gradient scratch: one FP16
-  // lease per deposit plus, for the baseline, one FP32 upscale lease.
-  // Deposits run one at a time on the D2H channel, so a slab of two
-  // deposits' worth never blocks acquire() and — the gated invariant —
-  // never falls back to the heap.
+  // The pool holds only the baseline's FP32 gradient-flush scratch. Those
+  // deposits run one at a time on the D2H channel, so a slab of two
+  // leases never blocks acquire() and — the gated invariant — never falls
+  // back to the heap.
   u64 max_elems = 1;
   for (const auto& sg : subgroups_) {
     max_elems = std::max(max_elems, sg->real_elems());
   }
   BufferPool::Options pool_opts;
-  const auto granules = [&](u64 bytes) {
-    return (bytes + pool_opts.granule - 1) / pool_opts.granule *
-           pool_opts.granule;
-  };
-  pool_opts.slab_bytes = 2 * (granules(max_elems * sizeof(u16)) +
-                              granules(max_elems * sizeof(f32)));
+  const u64 lease_bytes = (max_elems * sizeof(f32) + pool_opts.granule - 1) /
+                          pool_opts.granule * pool_opts.granule;
+  pool_opts.slab_bytes = 2 * lease_bytes;
   scratch_ = std::make_unique<BufferPool>(pool_opts);
   slots_.resize(subgroups_.size());
   for (auto& s : slots_) s.grads_fp32.reserve(max_elems);
@@ -144,30 +140,30 @@ void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
   const Subgroup& sg = *subgroups_.at(subgroup_id);
   const u64 sim_params = sg.sim_params();
   const u64 real_elems = sg.real_elems();
+  // The host part joins the batch before anything else can throw, so
+  // wait_gradient_io() and the destructor always wait for its writes.
+  std::shared_future<void> host =
+      deposit_fp16_async(sample_index, subgroup_id, first_micro_step);
+  gradient_io_.add(host);
 
+  // (a) D2H transfer of the FP16 gradients produced on the GPU. The link
+  // is serial, like a PCIe link, but holds only the modelled link time.
   IoRequest req = IoRequest::link_transfer(IoTarget::kD2HLink,
                                            grad_key(subgroup_id),
                                            sim_params * kFp16Bytes,
                                            IoPriority::kGradDeposit);
-  req.work = [this, sample_index, subgroup_id, first_micro_step,
-              final_micro_step, sim_params, real_elems](IoChannel& link)
-      -> u64 {
-    // (a) D2H transfer of the FP16 gradients produced on the GPU.
-    link.transfer(sim_params * kFp16Bytes);
-    // Only the link occupancy and per-deposit bookkeeping are serial
-    // here, which matches a PCIe link's serial nature.
-    BufferPool::Lease grad_lease = scratch_->acquire(real_elems * sizeof(u16));
-    deposit_fp16(sample_index, subgroup_id, first_micro_step,
-                 grad_lease.as<u16>());
-
-    // (b)+(c) Baseline path only: upscale to FP32 on the host and flush the
-    // FP32 gradients to third-level storage during the backward pass.
-    // MLP-Offload skips this entirely (design principle 4). The flush is a
-    // nested tier request so it queues on the path's write channel at
-    // kGradDeposit priority; the link stays blocked until it lands, which
-    // models the baseline's backward-phase I/O stall. The flush records
-    // its own bytes/time — this request reports only the link transfer.
-    if (!opts_.delayed_grad_conversion && final_micro_step) {
+  // (b)+(c) Baseline path only: upscale to FP32 on the host and flush the
+  // FP32 gradients to third-level storage during the backward pass.
+  // MLP-Offload skips this entirely (design principle 4). The flush is a
+  // nested tier request so it queues on the path's write channel at
+  // kGradDeposit priority; the link stays blocked until it lands, which
+  // models the baseline's backward-phase I/O stall. The flush records
+  // its own bytes/time — this request reports only the link transfer.
+  if (!opts_.delayed_grad_conversion && final_micro_step) {
+    req.work = [this, subgroup_id, sim_params, real_elems,
+                host = std::move(host)](IoChannel& link) -> u64 {
+      link.transfer(sim_params * kFp16Bytes);
+      host.get();  // the accumulated FP16 gradients are complete
       ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sim_params));
       auto fp32 = std::make_shared<BufferPool::Lease>(
           scratch_->acquire(real_elems * sizeof(f32)));
@@ -182,9 +178,9 @@ void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
         return grad_sim;
       };
       submit_io(std::move(flush)).get();
-    }
-    return sim_params * kFp16Bytes;
-  };
+      return sim_params * kFp16Bytes;
+    };
+  }
   gradient_io_.add(submit_io(std::move(req)));
 }
 

@@ -43,10 +43,11 @@ class OffloadEngine final : public Engine {
                 const ShardLayout& layout);
   ~OffloadEngine() override;
 
-  /// Deposit one subgroup's FP16 gradients. Runs asynchronously on the I/O
-  /// engine: D2H transfer, host accumulation, and — when delayed
-  /// conversion is off and this is the window's final micro-step — FP32
-  /// upscale + flush to storage.
+  /// Deposit one subgroup's FP16 gradients, asynchronously: the host part
+  /// (generate + accumulate) on the CPU pool, the D2H transfer on the
+  /// link. When delayed conversion is off and this is the window's final
+  /// micro-step, the link request then waits for the host part, upscales
+  /// to FP32 and flushes to storage before it releases the link.
   void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
                                bool first_micro_step,
                                bool final_micro_step) override;
@@ -68,7 +69,7 @@ class OffloadEngine final : public Engine {
 
   /// Cumulative gradient-scratch pool counters — the ground truth behind
   /// the alloc-churn metric (heap_fallbacks must stay zero in steady
-  /// state; only gradient deposits acquire).
+  /// state; only the baseline's FP32 gradient flushes acquire).
   BufferPool::Stats scratch_stats() const { return scratch_->stats(); }
 
  private:
@@ -109,11 +110,10 @@ class OffloadEngine final : public Engine {
   HostCache cache_;
   IoBatch gradient_io_;
 
-  /// One slab behind the deposit path's gradient scratch (FP16, and the
-  /// baseline's FP32 upscale): steady-state iterations suballocate from
-  /// here instead of the heap. Created in the ctor once the subgroup
-  /// geometry is known; declared before slots_ so any late lease holders
-  /// destruct first.
+  /// One slab behind the baseline's FP32 gradient-flush scratch:
+  /// steady-state iterations suballocate from here instead of the heap.
+  /// Created in the ctor once the subgroup geometry is known; declared
+  /// before slots_ so any late lease holders destruct first.
   std::unique_ptr<BufferPool> scratch_;
   /// Persistent per-position update slots, grads_fp32 reserved once to the
   /// largest subgroup — run_update reuses them every iteration.

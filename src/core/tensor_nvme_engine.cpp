@@ -41,7 +41,6 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
     max_elems = std::max(max_elems, sg->real_elems());
   }
   stored_path_.assign(subgroups_.size(), 0);
-  grad_scratch_.reserve(max_elems);
   fp32_scratch_.reserve(max_elems);
 
   // The offloader facade has no per-transfer completion feedback (the
@@ -74,28 +73,27 @@ std::future<void> TensorNvmeEngine::store_initial_state(u32 id) {
   return write_through(id);
 }
 
+TensorNvmeEngine::~TensorNvmeEngine() {
+  try {
+    wait_gradient_io();  // host parts write into the accumulation buffer
+  } catch (...) {
+    // Destruction must not throw; failures were wait_gradient_io()'s to
+    // report.
+  }
+}
+
 void TensorNvmeEngine::deposit_gradients_async(u64 sample_index,
                                                u32 subgroup_id,
                                                bool first_micro_step,
                                                bool /*final_micro_step*/) {
-  const Subgroup& sg = *subgroups_.at(subgroup_id);
-  const u64 sim_params = sg.sim_params();
-  const u64 real_elems = sg.real_elems();
+  const u64 sim_params = subgroups_.at(subgroup_id)->sim_params();
   // FP16 gradients stream over the D2H link and accumulate on the host —
   // the facade always runs the delayed-conversion discipline.
-  IoRequest req = IoRequest::link_transfer(
+  gradient_io_.add(
+      deposit_fp16_async(sample_index, subgroup_id, first_micro_step));
+  gradient_io_.add(submit_io(IoRequest::link_transfer(
       IoTarget::kD2HLink, state_key(subgroup_id), sim_params * kFp16Bytes,
-      IoPriority::kGradDeposit);
-  req.work = [this, sample_index, subgroup_id, first_micro_step, sim_params,
-              real_elems](IoChannel& link) -> u64 {
-    link.transfer(sim_params * kFp16Bytes);
-    // Member scratch is safe here: all deposit work functions dispatch on
-    // the one D2H link channel, so they are serial per engine.
-    grad_scratch_.resize(real_elems);
-    deposit_fp16(sample_index, subgroup_id, first_micro_step, grad_scratch_);
-    return sim_params * kFp16Bytes;
-  };
-  gradient_io_.add(submit_io(std::move(req)));
+      IoPriority::kGradDeposit)));
 }
 
 void TensorNvmeEngine::wait_gradient_io() { gradient_io_.wait_all(); }

@@ -33,6 +33,8 @@ class TensorNvmeEngine final : public Engine {
  public:
   TensorNvmeEngine(const EngineContext& ctx, const EngineOptions& opts,
                    const ShardLayout& layout);
+  /// Waits for the outstanding gradient deposits.
+  ~TensorNvmeEngine() override;
 
   void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
                                bool first_micro_step,
@@ -71,11 +73,8 @@ class TensorNvmeEngine final : public Engine {
   /// write and read may move the *assignment* while the bytes stay put.
   std::vector<std::size_t> stored_path_;
   IoBatch gradient_io_;
-  /// Reserved-once scratch for the serial paths: deposits ride the single
-  /// D2H link channel (one work function at a time per engine) and the
-  /// update loop is single-threaded, so member buffers keep them
-  /// allocation-free without a pool.
-  std::vector<u16> grad_scratch_;
+  /// Reserved-once upscale scratch: the update loop is single-threaded,
+  /// so a member buffer keeps it allocation-free without a pool.
   std::vector<f32> fp32_scratch_;
 };
 

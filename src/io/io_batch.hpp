@@ -10,7 +10,11 @@ namespace mlpo {
 
 class IoBatch {
  public:
-  void add(std::future<void> fut) { futures_.push_back(std::move(fut)); }
+  /// Takes a std::future by move, or a copy of a shared one whose other
+  /// holder waits on it as well.
+  void add(std::shared_future<void> fut) {
+    futures_.push_back(std::move(fut));
+  }
   std::size_t size() const { return futures_.size(); }
 
   /// Waits for every future; no operation is left dangling on error. If
@@ -24,7 +28,7 @@ class IoBatch {
   void wait_all();
 
  private:
-  std::vector<std::future<void>> futures_;
+  std::vector<std::shared_future<void>> futures_;
 };
 
 }  // namespace mlpo

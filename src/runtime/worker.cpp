@@ -67,10 +67,21 @@ void Worker::run_backward_micro(u64 sample_index, bool first_micro_step,
   // Gradients stream out as the backward pass produces them (paper §2:
   // "as the backward pass progresses, the gradients are flushed").
   const f64 per_subgroup = compute_seconds / static_cast<f64>(n);
-  for (u32 id = 0; id < n; ++id) {
-    clock_->sleep_for(per_subgroup);
-    engine_->deposit_gradients_async(sample_index, id, first_micro_step,
-                                     final_micro_step);
+  try {
+    for (u32 id = 0; id < n; ++id) {
+      clock_->sleep_for(per_subgroup);
+      engine_->deposit_gradients_async(sample_index, id, first_micro_step,
+                                       final_micro_step);
+    }
+  } catch (...) {
+    // The deposits made so far still write into the accumulation buffer;
+    // a recovery that rewinds this engine must not race them.
+    try {
+      engine_->wait_gradient_io();
+    } catch (...) {
+      // The deposit's own failure, rethrown below, is the one to report.
+    }
+    throw;
   }
   engine_->wait_gradient_io();
 }

@@ -59,6 +59,8 @@ std::span<const u16> GradAccumulator::fp16(u32 id) const {
   return buffers_.at(id);
 }
 
+std::span<u16> GradAccumulator::fp16(u32 id) { return buffers_.at(id); }
+
 void GradAccumulator::upscale_into(u32 id, std::span<f32> out,
                                    ThreadPool* pool) const {
   const auto& buf = buffers_.at(id);

@@ -42,6 +42,9 @@ class GradAccumulator {
 
   /// FP16 view of the accumulated gradients for subgroup `id`.
   std::span<const u16> fp16(u32 id) const;
+  /// Writable view of subgroup `id`'s buffer: a first micro-step may
+  /// produce its gradients here directly instead of through store().
+  std::span<u16> fp16(u32 id);
 
   /// Upscale subgroup `id`'s accumulated gradients into `out` (the delayed
   /// in-place conversion of paper §3.2).

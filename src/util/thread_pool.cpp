@@ -4,6 +4,11 @@
 
 namespace mlpo {
 
+namespace {
+// The pool whose worker_loop() runs on this thread, if any.
+thread_local const ThreadPool* tls_current_pool = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -24,6 +29,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  tls_current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -40,7 +46,10 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(u64 n, const std::function<void(u64, u64)>& fn,
                               u64 min_parallel) {
   if (n == 0) return;
-  if (n < min_parallel) {
+  // A task of this pool that fans out would wait on chunks queued behind
+  // itself and its busy siblings: with every worker doing so, none is left
+  // to run them. Run such calls inline.
+  if (n < min_parallel || tls_current_pool == this) {
     fn(0, n);
     return;
   }

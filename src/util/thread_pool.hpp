@@ -1,5 +1,5 @@
 // Fixed-size worker pool behind the CPU update kernels (Adam, FP16 upscale,
-// gradient accumulation).
+// gradient accumulation) and the host parts of gradient deposits.
 //
 // Two entry points:
 //   * submit()       — enqueue an arbitrary task, get a std::future.
@@ -64,6 +64,9 @@ class ThreadPool {
   /// element-wise kernels this pool serves, dispatch overhead exceeds the
   /// work itself well past 10^4 elements, and in scaled-time emulation that
   /// overhead would be multiplied into phantom virtual-time charges.
+  /// A call from one of this pool's own workers also runs inline: its
+  /// chunks would queue behind the caller, and with every worker fanning
+  /// out at once no worker would be left to run them.
   void parallel_for(u64 n, const std::function<void(u64, u64)>& fn,
                     u64 min_parallel = 64 * 1024);
 

@@ -1,7 +1,8 @@
 // Concurrency hammer suites: many-thread stress of the primitives whose
 // single-thread unit tests cannot surface ordering bugs — ThreadPool's
-// drain-then-exit shutdown contract, BufferPool under contention, and the
-// TierStats no-concurrent-transfers contract (TransferScope). These tests
+// drain-then-exit shutdown contract, BufferPool under contention, the
+// TierStats no-concurrent-transfers contract (TransferScope), and several
+// tenants' gradient deposits sharing one CPU pool. These tests
 // are the designated prey for the TSan preset: every suite here runs
 // multiple real threads over the annotated primitives, so a regression in
 // the locking shows up as a sanitizer report even when the test's own
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "io/io_scheduler.hpp"
+#include "runtime/job_manager.hpp"
 #include "tiers/failstop_tier.hpp"
 #include "tiers/memory_tier.hpp"
 #include "tiers/storage_tier.hpp"
@@ -265,6 +267,48 @@ TEST(TenancyHammer, BullyFailStopLeavesSurvivorLatencyAndDataIntact) {
   std::sort(waits.begin(), waits.end());
   const f64 p99 = waits[(waits.size() * 99) / 100];
   EXPECT_LT(p99, 5.0) << "survivor stalled behind a fail-stopped tenant";
+}
+
+TEST(TenancyHammer, ConcurrentTenantDepositsShareThePoolCleanly) {
+  // Four tenants deposit gradients at once, every host part a task on the
+  // substrate's one CPU pool, while their link requests share one
+  // scheduler. Two tenants run the baseline, whose link work waits for
+  // its host part, and every job accumulates over two micro-steps. The
+  // state must train to the same bits as one job alone, and the teardown
+  // must find no host part still writing.
+  TrainerConfig cfg;
+  cfg.model = ModelConfig{"tiny", 4, 4096, 32};
+  cfg.elem_scale = 4096;
+  cfg.time_scale = 2000.0;
+  cfg.host_cache_override = 2;
+  cfg.accum_steps = 2;
+  constexpr u32 kIterations = 3;
+
+  Trainer solo(cfg);
+  solo.initialize();
+  solo.run(kIterations);
+  const u64 reference = cluster_state_checksum(solo.cluster());
+
+  JobManagerConfig jobs;
+  for (int i = 0; i < 4; ++i) {
+    JobSpec spec;
+    spec.name = "tenant" + std::to_string(i);
+    spec.config = cfg;
+    if (i % 2 == 1) {
+      spec.config.engine = EngineOptions::deepspeed_zero3();
+      // The shared scheduler's locking governs; match it.
+      spec.config.engine.tier_exclusive_locking = true;
+    }
+    spec.iterations = kIterations;
+    spec.warmup = 0;
+    jobs.jobs.push_back(spec);
+  }
+  JobManager manager(std::move(jobs));
+  const std::vector<JobResult> results = manager.run();
+  ASSERT_EQ(results.size(), 4u);
+  for (const JobResult& r : results) {
+    EXPECT_EQ(r.state_checksum, reference) << r.name;
+  }
 }
 
 TEST(TierStatsContract, TransferScopeTracksInFlight) {

@@ -14,6 +14,7 @@
 #include "policy/policy_registry.hpp"
 #include "tiers/memory_tier.hpp"
 #include "tiers/throttled_tier.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlpo {
 namespace {
@@ -28,9 +29,11 @@ ShardLayout test_layout() {
 }
 
 // Run a full mini-training with the given options and return the end-state
-// digest. The engine kind in `opts.engine` selects the implementation.
+// digest. The engine kind in `opts.engine` selects the implementation;
+// `pool`, when set, runs the kernels and the deposits' host parts.
 u64 run_opts(EngineOptions opts, u32 accum_steps = 1,
-             const ShardLayout& layout = test_layout()) {
+             const ShardLayout& layout = test_layout(),
+             ThreadPool* pool = nullptr) {
   SimClock clock(50000.0);
   VirtualTier vtier;
   ThrottleSpec fast{8e6, 6e6};
@@ -57,6 +60,7 @@ u64 run_opts(EngineOptions opts, u32 accum_steps = 1,
   ctx.clock = &clock;
   ctx.vtier = &vtier;
   ctx.io = &io;
+  ctx.cpu_pool = pool;
   ctx.grads = &grads;
   const auto engine = make_engine(ctx, opts, layout);
   engine->initialize();
@@ -76,14 +80,14 @@ u64 run_opts(EngineOptions opts, u32 accum_steps = 1,
 }
 
 u64 run_config(bool multipath, bool cache, bool delayed, bool locking,
-               u32 accum_steps = 1) {
+               u32 accum_steps = 1, ThreadPool* pool = nullptr) {
   EngineOptions opts;
   opts.multipath = multipath;
   opts.update_order_policy =
       cache ? "alternating_cache_friendly" : "ascending";
   opts.delayed_grad_conversion = delayed;
   opts.tier_exclusive_locking = locking;
-  return run_opts(opts, accum_steps);
+  return run_opts(opts, accum_steps, test_layout(), pool);
 }
 
 u64 baseline_digest() {
@@ -91,18 +95,26 @@ u64 baseline_digest() {
   return digest;
 }
 
-class AllFlagCombos : public ::testing::TestWithParam<int> {};
+// Each combination runs without a CPU pool and with a 3-thread one, which
+// runs the deposits' host parts concurrently across subgroups: the bits
+// must not notice.
+class AllFlagCombos
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(AllFlagCombos, EndStateBitwiseEqualToBaseline) {
-  const int bits = GetParam();
-  const u64 digest = run_config(bits & 1, bits & 2, bits & 4, bits & 8);
+  const auto [bits, pooled] = GetParam();
+  ThreadPool pool(3);
+  const u64 digest = run_config(bits & 1, bits & 2, bits & 4, bits & 8, 1,
+                                pooled ? &pool : nullptr);
   EXPECT_EQ(digest, baseline_digest())
       << "flags: multipath=" << !!(bits & 1) << " cache=" << !!(bits & 2)
-      << " delayed=" << !!(bits & 4) << " locking=" << !!(bits & 8);
+      << " delayed=" << !!(bits & 4) << " locking=" << !!(bits & 8)
+      << " pooled=" << pooled;
 }
 
 INSTANTIATE_TEST_SUITE_P(SixteenCombos, AllFlagCombos,
-                         ::testing::Range(0, 16));
+                         ::testing::Combine(::testing::Range(0, 16),
+                                            ::testing::Bool()));
 
 // The tentpole guarantee: every placement policy x every ordering policy
 // from the registry trains to the same bits as the baseline.
@@ -131,6 +143,36 @@ TEST(Equivalence, GradientAccumulationAlsoOrderIndependent) {
   const u64 base = run_config(false, false, false, false, /*accum=*/2);
   const u64 ours = run_config(true, true, true, true, 2);
   EXPECT_EQ(ours, base);
+}
+
+TEST(Equivalence, PooledGradientAccumulationMatchesPinnedDigest) {
+  ThreadPool pool(3);
+  EXPECT_EQ(run_config(false, false, false, false, 2, &pool),
+            0x1768F227F29FA56Full);
+  EXPECT_EQ(run_config(true, true, true, true, 2, &pool),
+            0x1768F227F29FA56Full);
+}
+
+TEST(Equivalence, LargeSubgroupsAccumulateIdenticallyOnEveryEngine) {
+  // Subgroups of 64 K elements reach parallel_for's fan-out threshold, so
+  // with a pool the accumulation and upscale of a deposit's host part
+  // (itself a pool task) run inline while the update thread's kernels fan
+  // out; the short remainder subgroup makes the per-thread scratch shrink
+  // and grow again. Three accumulation micro-steps, every engine kind,
+  // with and without a pool: one digest, recorded from the serial deposit
+  // path that ran each deposit's host part on the D2H link thread.
+  constexpr u64 kLarge = 64 * 1024;
+  const ShardLayout layout =
+      make_shard_layout(3 * kLarge + 4099, 1, 0, kLarge);
+  ThreadPool pool(3);
+  for (const char* preset :
+       {"mlp_offload", "deepspeed_zero3", "tensor_nvme", "cpu_only"}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      EXPECT_EQ(run_opts(EngineOptions::preset(preset), 3, layout, p),
+                0x1D72DBD45223FF95ull)
+          << preset << (p != nullptr ? " with" : " without") << " a pool";
+    }
+  }
 }
 
 TEST(Equivalence, OffloadedMatchesHostResidentEngine) {

@@ -17,6 +17,7 @@
 #include "tiers/throttled_tier.hpp"
 #include "train/adam.hpp"
 #include "util/fp16.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlpo {
 namespace {
@@ -463,25 +464,27 @@ TEST(OffloadEngine, OnlyHostResidentStateStaysFiniteOnTheHost) {
   }
 }
 
-TEST(OffloadEngine, SteadyStateUpdateAcquiresNoPoolBuffers) {
-  // Fetches and flushes move the subgroup images themselves; the pool
-  // serves only the gradient deposits of the backward phase.
+TEST(OffloadEngine, OnlyTheBaselineGradientFlushLeasesPoolBuffers) {
+  // Fetches and flushes move the subgroup images themselves, and the host
+  // part of a deposit generates straight into the accumulation buffer.
+  // The pool serves only the baseline's FP32 gradient flush: one lease per
+  // subgroup per iteration, never from the heap, never waited for.
+  ThreadPool pool(3);
   for (const char* preset : {"mlp_offload", "deepspeed_zero3"}) {
     EngineRig rig;
     const auto opts = EngineRig::fast_options(EngineOptions::preset(preset));
-    OffloadEngine engine(rig.context_for(opts), opts, EngineRig::layout());
+    EngineContext ctx = rig.context_for(opts);
+    ctx.cpu_pool = &pool;
+    OffloadEngine engine(ctx, opts, EngineRig::layout());
     engine.initialize();
     EXPECT_EQ(engine.scratch_stats().acquires, 0u) << preset;
     rig.run_one_iteration(engine, 0);
-    for (u32 id = 0; id < engine.num_subgroups(); ++id) {
-      engine.deposit_gradients_async(1, id, true, true);
-    }
-    engine.wait_gradient_io();
     const BufferPool::Stats before = engine.scratch_stats();
-    EXPECT_GE(before.acquires, 2u * engine.num_subgroups()) << preset;
-    engine.run_update(1);
+    rig.run_one_iteration(engine, 1);
     const BufferPool::Stats after = engine.scratch_stats();
-    EXPECT_EQ(after.acquires, before.acquires) << preset;
+    const u64 flush_leases =
+        opts.delayed_grad_conversion ? 0 : engine.num_subgroups();
+    EXPECT_EQ(after.acquires - before.acquires, flush_leases) << preset;
     EXPECT_EQ(after.heap_fallbacks, 0u) << preset;
     EXPECT_EQ(after.blocked_waits, 0u) << preset;
   }

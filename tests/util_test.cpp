@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -47,6 +50,34 @@ TEST(ThreadPool, ParallelForEmptyAndSmall) {
   std::atomic<u64> sum{0};
   pool.parallel_for(3, [&](u64 b, u64 e) { sum += e - b; });
   EXPECT_EQ(sum.load(), 3u);
+}
+
+TEST(ThreadPool, ParallelForFromOwnWorkersDoesNotDeadlock) {
+  // Every worker runs a task that fans out over the same pool; the latch
+  // makes all of them busy before any fans out. Queued behind busy
+  // workers, the chunks would never run; the calls must run inline.
+  constexpr std::size_t kThreads = 4;
+  constexpr u64 kElems = 1 << 20;
+  auto* pool = new ThreadPool(kThreads);
+  std::vector<std::atomic<u64>> sums(kThreads);
+  std::latch all_busy(kThreads);
+  std::vector<std::future<void>> outer;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    outer.push_back(pool->submit([pool, &sums, &all_busy, t] {
+      all_busy.arrive_and_wait();
+      pool->parallel_for(kElems,
+                         [&sums, t](u64 b, u64 e) { sums[t] += e - b; });
+    }));
+  }
+  for (auto& f : outer) {
+    if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      // The workers are wedged, so joining them would hang: leak the pool.
+      FAIL() << "parallel_for from a pool worker deadlocked";
+    }
+    f.get();
+  }
+  for (const auto& s : sums) EXPECT_EQ(s.load(), kElems);
+  delete pool;
 }
 
 TEST(ThreadPool, ManyConcurrentSubmits) {

@@ -50,13 +50,18 @@ Checked invariants:
      the RateLimiter type while every direct include looks clean; headers
      that only pass a pointer forward-declare the type instead.
   9. Within src/core/, only the Engine base TU (core/engine.cpp) calls
-     adam_update, GradSource::generate_fp16 or
-     Subgroup::deterministic_param_init, or builds the "t<tenant>/" key
-     prefix, and it holds each exactly once. One module then decides how
-     an optimizer step is computed and charged: per-engine copies of this
+     adam_update, GradSource::generate_fp16,
+     Subgroup::deterministic_param_init or Engine::deposit_fp16 (the host
+     part of a gradient deposit), or builds the "t<tenant>/" key prefix,
+     and it holds each exactly once. One module then decides how an
+     optimizer step is computed and charged: per-engine copies of this
      code drift apart (one copy reported host wall-clock noise as compute
      and labelled traces with global subgroup ids), and a second copy
-     fails here.
+     fails here. Engines reach deposit_fp16 only through
+     deposit_fp16_async, which runs it on the CPU pool: a call inside a
+     D2H link request's work would serialise every subgroup's gradient
+     generation on the link's one dispatch thread again (that cost
+     floor_mem 4-5 ms of backward per iteration).
  10. Within src/core/, Subgroup::serialize and Subgroup::deserialize are
      called only from core/checkpoint.cpp and from the engines'
      restore_state bodies (comments stripped). A subgroup is one image,
@@ -250,6 +255,10 @@ ENGINE_BASE_ONLY = {
     "a generate_fp16 call": re.compile(r"\bgenerate_fp16\s*\("),
     "a deterministic_param_init call": re.compile(
         r"\bdeterministic_param_init\s*\("),
+    # Calls only: the declaration ("void deposit_fp16(") and the
+    # definition ("Engine::deposit_fp16(") do not count.
+    "a deposit_fp16 call": re.compile(
+        r"(?<![\w:])(?<!void )deposit_fp16\s*\("),
     "the \"t<tenant>/\" key prefix": re.compile(r'"t"\s*\+'),
 }
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
@@ -276,7 +285,7 @@ def check_engine_base_owns_the_step() -> None:
                 fail(
                     f"{rel} holds {what} — within src/core/ only the "
                     f"Engine base ({ENGINE_BASE_TU}) may; use its "
-                    f"deposit_fp16 / update_subgroup / initialize / "
+                    f"deposit_fp16_async / update_subgroup / initialize / "
                     f"tenant_key instead"
                 )
     for what, hits in counts.items():
