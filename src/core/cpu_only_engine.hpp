@@ -2,10 +2,10 @@
 // (Fig. 3, "20B CPU"): the full FP32 optimizer state fits in host RAM, so
 // the update phase is pure CPU compute with zero third-level I/O.
 //
-// The Engine base supplies the subgroups, gradients and the charged Adam
-// step, so this engine and the offloading ones are numerically comparable;
-// all it adds is host residency. Selected through the unified interface as
-// engine kind "cpu_only".
+// The Engine base supplies the subgroups, the gradient deposits and the
+// charged Adam step, so this engine and the offloading ones are
+// numerically comparable; all it adds is host residency. Selected through
+// the unified interface as engine kind "cpu_only".
 #pragma once
 
 #include <vector>
@@ -27,15 +27,9 @@ class CpuOnlyEngine final : public Engine {
                 const ShardLayout& layout);
 
   /// Deposit FP16 gradients for one micro-step across ALL subgroups
-  /// (D2H charge + accumulate) — the historical convenience entry point.
+  /// (D2H charge + accumulate) and wait for them — the historical
+  /// convenience entry point.
   void deposit_gradients(u64 sample_index, bool first_micro_step);
-
-  /// Unified per-subgroup deposit. Synchronous (host memory is the
-  /// destination); `final_micro_step` has no extra work here.
-  void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
-                               bool first_micro_step,
-                               bool final_micro_step) override;
-  void wait_gradient_io() override {}
 
   /// Everything is host-resident, nothing ever sits on a tier.
   Distribution distribution() const override;
@@ -48,11 +42,6 @@ class CpuOnlyEngine final : public Engine {
   std::future<void> store_initial_state(u32 /*id*/) override { return {}; }
   /// Pure-compute update phase over all subgroups, in id order.
   void update_phase(u64 iteration, IterationReport& report) override;
-
-  /// Reserved-once upscale scratch: updates are serial per engine, so a
-  /// member buffer (not a pool) keeps the steady-state path free of heap
-  /// churn.
-  std::vector<f32> fp32_scratch_;
 };
 
 }  // namespace mlpo

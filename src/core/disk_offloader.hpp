@@ -49,8 +49,6 @@ class DiskOffloader {
   /// Drain every operation issued through this offloader.
   void synchronize();
 
-  StorageTier& tier() { return *tier_; }
-
  private:
   StorageTier* tier_;
   IoScheduler* io_;

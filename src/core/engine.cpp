@@ -1,13 +1,14 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "io/io_batch.hpp"
 
 #include "core/cpu_only_engine.hpp"
 #include "core/offload_engine.hpp"
 #include "core/tensor_nvme_engine.hpp"
+#include "io/io_scheduler.hpp"
 #include "policy/policy_registry.hpp"
+#include "tiers/virtual_tier.hpp"
 
 namespace mlpo {
 
@@ -151,8 +152,19 @@ Engine::Engine(const EngineContext& ctx, const EngineOptions& opts,
         state_slab_.bytes().subspan(
             offsets[i], Subgroup::image_bytes(sim, opts_.elem_scale))));
     accum_elems.push_back(subgroups_.back()->real_elems());
+    max_real_elems_ = std::max(max_real_elems_, accum_elems.back());
   }
   accum_ = std::make_unique<GradAccumulator>(accum_elems);
+  fp32_scratch_.reserve(max_real_elems_);
+}
+
+Engine::~Engine() {
+  try {
+    wait_gradient_io();
+  } catch (...) {
+    // Destruction must not throw; failures were wait_gradient_io()'s to
+    // report.
+  }
 }
 
 void Engine::initialize() {
@@ -197,6 +209,37 @@ std::string Engine::tenant_key(std::string key) const {
   if (ctx_.tenant == 0) return key;
   return "t" + std::to_string(ctx_.tenant) + "/" + key;
 }
+
+std::string Engine::grad_key(u32 id) const {
+  return tenant_key("grad/" + std::to_string(ctx_.rank) + "/" +
+                    std::to_string(id));
+}
+
+std::future<void> Engine::submit_io(IoRequest req) {
+  req.tenant = ctx_.tenant;
+  return ctx_.io->submit(std::move(req));
+}
+
+void Engine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
+                                     bool first_micro_step,
+                                     bool final_micro_step) {
+  const u64 link_bytes = subgroups_.at(subgroup_id)->sim_params() * kFp16Bytes;
+  // The host part joins the batch before anything else can throw, so
+  // wait_gradient_io() and the destructors always wait for its writes.
+  std::shared_future<void> host =
+      deposit_fp16_async(sample_index, subgroup_id, first_micro_step);
+  gradient_io_.add(host);
+  // The FP16 gradients cross PCIe whatever holds the optimizer state; the
+  // serial link holds only the modelled link time.
+  if (ctx_.io == nullptr) return;
+  IoRequest req = IoRequest::link_transfer(IoTarget::kD2HLink,
+                                           grad_key(subgroup_id), link_bytes,
+                                           IoPriority::kGradDeposit);
+  req.work = deposit_link_work(subgroup_id, final_micro_step, std::move(host));
+  gradient_io_.add(submit_io(std::move(req)));
+}
+
+void Engine::wait_gradient_io() { gradient_io_.wait_all(); }
 
 std::shared_future<void> Engine::deposit_fp16_async(u64 sample_index, u32 id,
                                                     bool first_micro_step) {
@@ -262,6 +305,37 @@ void Engine::fold_trace(IterationReport& report, const SubgroupTrace& trace) {
   report.update_compute_seconds += trace.compute_seconds;
   if (trace.host_cache_hit) ++report.host_cache_hits;
   ++report.subgroups_processed;
+}
+
+TieredEngine::TieredEngine(const EngineContext& ctx,
+                           const EngineOptions& opts,
+                           const ShardLayout& layout)
+    : Engine(ctx, opts, layout),
+      placement_(make_placement_policy(opts.placement_policy)),
+      order_policy_(make_update_order_policy(opts.update_order_policy)) {
+  if (ctx_.vtier == nullptr || ctx_.io == nullptr ||
+      ctx_.vtier->path_count() == 0) {
+    throw std::invalid_argument(
+        "TieredEngine: EngineContext needs io and a vtier with a path");
+  }
+  std::vector<f64> bws = ctx_.vtier->path_bandwidths();
+  if (!opts_.multipath) bws.resize(1);
+  placement_->bind(std::move(bws), num_subgroups());
+}
+
+std::vector<u32> TieredEngine::plan_update(u64 iteration,
+                                           std::span<const u32> residents) {
+  const u32 n = num_subgroups();
+  placement_->rebalance();
+  std::vector<u32> order = order_policy_->order(n, iteration, residents);
+  validate_order_permutation(order, n, order_policy_->name());
+  return order;
+}
+
+std::future<void> TieredEngine::push_fp16_params(u32 id) {
+  return submit_io(IoRequest::link_transfer(
+      IoTarget::kH2DLink, tenant_key(Subgroup::key(ctx_.rank, id)),
+      subgroups_[id]->sim_fp16_param_bytes(), IoPriority::kDemandPrefetch));
 }
 
 std::unique_ptr<Engine> make_engine(const EngineContext& ctx,

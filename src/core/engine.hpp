@@ -5,18 +5,23 @@
 // one module decides how an optimizer step is computed and charged:
 //   * the context, options and shard layout, and their accessors;
 //   * the subgroups (identity = the layout's global id), whose state
-//     images it allocates in one pre-faulted slab, and the host FP16
-//     gradient accumulation buffer;
+//     images it allocates in one pre-faulted slab, the host FP16 gradient
+//     accumulation buffer, and one FP32 upscale scratch reserved to the
+//     largest subgroup;
 //   * deterministic parameter init and the initialize-once contract;
-//   * the host part of every gradient deposit: generate FP16 gradients,
-//     then store or accumulate them. It runs on the CPU pool (inline
-//     without one), one task per subgroup, so deposits of different
-//     subgroups proceed in parallel; the D2H link request an engine
-//     submits beside it carries only the modelled link time;
+//   * the whole gradient deposit and its barrier: the host part (generate
+//     FP16 gradients, then store or accumulate them) runs on the CPU pool,
+//     one task per subgroup, beside one D2H link request that carries only
+//     the modelled link time; deposit_link_work() is the one hook;
+//   * the tenant-stamped submit every scheduler request goes through;
 //   * the charged update step: upscale + conversion charge, Adam, and the
 //     residual cpu_update_rate budget, which is the compute time reported;
 //   * the "t<tenant>/" storage-key prefix, the scalar option and context
 //     checks, and the per-subgroup trace -> IterationReport fold.
+//
+// TieredEngine, a thin layer, adds what only the two engines with state on
+// the VirtualTier share: the vtier/io requirement, the two policies, the
+// per-phase update plan and the H2D push of updated FP16 parameters.
 //
 // Each engine implements only where the state lives and how it moves:
 //   * OffloadEngine    — the MLP-Offload pipeline (paper §3.4, Alg. 1:
@@ -36,12 +41,17 @@
 // presets bundle policy selections the paper's ablations compare.
 #pragma once
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "io/io_batch.hpp"
+#include "io/io_request.hpp"
+#include "policy/placement_policy.hpp"
+#include "policy/update_order_policy.hpp"
 #include "telemetry/iteration_report.hpp"
 #include "train/adam.hpp"
 #include "train/grad_accum.hpp"
@@ -56,7 +66,6 @@
 namespace mlpo {
 
 class IoScheduler;
-class UpdateOrderPolicy;
 class VirtualTier;
 
 struct EngineOptions {
@@ -164,7 +173,8 @@ struct EngineContext {
 
 class Engine {
  public:
-  virtual ~Engine() = default;
+  /// Waits for the outstanding gradient deposits.
+  virtual ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -175,15 +185,15 @@ class Engine {
   void initialize();
 
   /// Deposit one subgroup's FP16 gradients for micro-step `sample_index`
-  /// (globally unique across iterations x accumulation steps). All of a
+  /// (globally unique across iterations x accumulation steps),
+  /// asynchronously; the D2H charge is free without ctx.io. All of a
   /// micro-step's deposits must be awaited with wait_gradient_io() before
   /// the next micro-step deposits: that barrier orders accumulation.
-  virtual void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
-                                       bool first_micro_step,
-                                       bool final_micro_step) = 0;
+  void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
+                               bool first_micro_step, bool final_micro_step);
 
   /// Barrier for all outstanding gradient I/O (end of backward phase).
-  virtual void wait_gradient_io() = 0;
+  void wait_gradient_io();
 
   /// The update phase: apply one optimizer step to every subgroup,
   /// instrumented. `iteration` feeds the update-order policy. Throws
@@ -239,10 +249,10 @@ class Engine {
  protected:
   /// Runs validate_common(), requires ctx.clock and ctx.grads, and builds
   /// one Subgroup (identity = the layout's global id) and one gradient
-  /// accumulation buffer per layout entry. The subgroups' images share one
-  /// exact-size slab, pre-faulted in a single call
-  /// (AlignedBuffer::populated): separate images of ~145 KB would each
-  /// cross glibc's 128 KiB mmap threshold and be mapped, faulted and
+  /// accumulation buffer per layout entry, and reserves fp32_scratch_. The
+  /// subgroups' images share one exact-size slab, pre-faulted in a single
+  /// call (AlignedBuffer::populated): separate images of ~145 KB would
+  /// each cross glibc's 128 KiB mmap threshold and be mapped, faulted and
   /// unmapped one by one.
   Engine(const EngineContext& ctx, const EngineOptions& opts,
          const ShardLayout& layout);
@@ -262,12 +272,25 @@ class Engine {
   /// "t<tenant>/" prefix; tenant 0 keeps the unprefixed keys.
   std::string tenant_key(std::string key) const;
 
-  /// The host part of a gradient deposit, as a task on ctx.cpu_pool (run
-  /// inline without a pool): deposit_fp16() for local subgroup `id`. The
-  /// engines add the returned future to their gradient batch, so
-  /// wait_gradient_io() and their destructors wait for it.
-  std::shared_future<void> deposit_fp16_async(u64 sample_index, u32 id,
-                                              bool first_micro_step);
+  /// Local subgroup `id`'s gradient key in this engine's namespace: the
+  /// label of its D2H deposit, and the object the baseline flushes its
+  /// FP32 gradients to.
+  std::string grad_key(u32 id) const;
+
+  /// Submit `req` to ctx.io stamped with this engine's tenant id (fair
+  /// share and fail-stop scoping on a shared scheduler).
+  std::future<void> submit_io(IoRequest req);
+
+  /// The work the D2H link request of subgroup `id`'s deposit runs instead
+  /// of the plain link charge; empty (the default) charges the link only.
+  /// `host_part` settles once the deposit's FP16 gradients are complete.
+  /// Work that captures a derived engine's members needs that engine's
+  /// destructor to call wait_gradient_io(): ~Engine runs after them.
+  virtual std::function<u64(IoChannel&)> deposit_link_work(
+      u32 /*id*/, bool /*final_micro_step*/,
+      std::shared_future<void> /*host_part*/) {
+    return {};
+  }
 
   /// One charged optimizer step of local subgroup `id` (Alg. 1 l.6-7):
   /// with `upscale`, convert the accumulated FP16 gradients into
@@ -288,21 +311,60 @@ class Engine {
   AlignedBuffer state_slab_;
   std::vector<std::unique_ptr<Subgroup>> subgroups_;
   std::unique_ptr<GradAccumulator> accum_;
+  /// Real elements of the largest subgroup (at least 1). The upscale
+  /// scratch is reserved to it once: updates run one subgroup at a time.
+  u64 max_real_elems_ = 1;
+  std::vector<f32> fp32_scratch_;
 
  private:
+  /// The host part of a gradient deposit, as a task on ctx.cpu_pool (run
+  /// inline without a pool): deposit_fp16() for local subgroup `id`.
+  std::shared_future<void> deposit_fp16_async(u64 sample_index, u32 id,
+                                              bool first_micro_step);
   /// Generate local subgroup `id`'s FP16 gradients for `sample_index`.
   /// The first micro-step writes them straight into its accumulation
   /// buffer; later ones generate into a per-thread scratch and add it in.
   void deposit_fp16(u64 sample_index, u32 id, bool first_micro_step);
 
+  /// Every outstanding deposit part: host tasks and D2H link requests.
+  IoBatch gradient_io_;
   bool initialized_ = false;
+};
+
+/// The layer shared by OffloadEngine and TensorNvmeEngine, whose state
+/// lives on the VirtualTier. CpuOnlyEngine derives from Engine directly: it
+/// ignores the policy names and pushes nothing.
+class TieredEngine : public Engine {
+ public:
+  /// The placement policy steering this engine's subgroup -> path mapping.
+  const PlacementPolicy& placement() const { return *placement_; }
+
+ protected:
+  /// Requires ctx.vtier (with a path) and ctx.io, builds both policies by
+  /// name and binds placement to the per-path min(read, write) bandwidths
+  /// of all paths, or of just the primary (NVMe) one without multipath.
+  TieredEngine(const EngineContext& ctx, const EngineOptions& opts,
+               const ShardLayout& layout);
+
+  /// The update phase's prologue: grant the placement policy its
+  /// rebalance(), then ask the order policy for this iteration's schedule
+  /// given the host-resident ids (LRU first) and check it is a permutation.
+  std::vector<u32> plan_update(u64 iteration,
+                               std::span<const u32> residents);
+
+  /// async_h2d_transfer of subgroup `id`'s updated FP16 parameters (Alg. 1
+  /// l.8). Only the link time is modelled; the GPU copy has no state here.
+  std::future<void> push_fp16_params(u32 id);
+
+  std::unique_ptr<PlacementPolicy> placement_;
+  std::unique_ptr<UpdateOrderPolicy> order_policy_;
 };
 
 /// Build the engine implementation selected by `opts.engine`. Every
 /// engine runs validate_common() and the clock/grads checks in the base
-/// constructor; offload adds the cache/prefetch contract
-/// (validate_resolved()), offload and tensor_nvme also require vtier and
-/// io.
+/// constructor; offload and tensor_nvme also require vtier and io
+/// (TieredEngine), and offload adds the cache/prefetch contract
+/// (validate_resolved()).
 std::unique_ptr<Engine> make_engine(const EngineContext& ctx,
                                     const EngineOptions& opts,
                                     const ShardLayout& layout);

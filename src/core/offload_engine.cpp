@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "policy/policy_registry.hpp"
 #include "util/logging.hpp"
 
 namespace mlpo {
@@ -24,18 +23,10 @@ struct OffloadEngine::UpdateSlot {
 OffloadEngine::OffloadEngine(const EngineContext& ctx,
                              const EngineOptions& opts,
                              const ShardLayout& layout)
-    : Engine(ctx, opts, layout),
-      placement_(make_placement_policy(opts.placement_policy)),
-      order_policy_(make_update_order_policy(opts.update_order_policy)),
+    : TieredEngine(ctx, opts, layout),
       use_host_cache_(order_policy_->uses_host_cache()),
       cache_(use_host_cache_ ? opts.host_cache_subgroups : 0) {
   opts_.validate_resolved(*order_policy_);
-  if (ctx_.vtier == nullptr || ctx_.io == nullptr) {
-    throw std::invalid_argument("OffloadEngine: vtier and io are required");
-  }
-  if (ctx_.vtier->path_count() == 0) {
-    throw std::invalid_argument("OffloadEngine: virtual tier has no paths");
-  }
   // The scheduler's channels own the locking discipline; the engine flag
   // only documents intent. Surface a divergence loudly so an ablation
   // doesn't silently measure the wrong discipline.
@@ -54,23 +45,16 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
   // deposits run one at a time on the D2H channel, so a slab of two
   // leases never blocks acquire() and — the gated invariant — never falls
   // back to the heap.
-  u64 max_elems = 1;
-  for (const auto& sg : subgroups_) {
-    max_elems = std::max(max_elems, sg->real_elems());
-  }
   BufferPool::Options pool_opts;
-  const u64 lease_bytes = (max_elems * sizeof(f32) + pool_opts.granule - 1) /
-                          pool_opts.granule * pool_opts.granule;
+  const u64 lease_bytes =
+      (max_real_elems_ * sizeof(f32) + pool_opts.granule - 1) /
+      pool_opts.granule * pool_opts.granule;
   pool_opts.slab_bytes = 2 * lease_bytes;
   scratch_ = std::make_unique<BufferPool>(pool_opts);
   slots_.resize(subgroups_.size());
-  for (auto& s : slots_) s.grads_fp32.reserve(max_elems);
-
-  // The placement policy spans all paths under multipath, or just the
-  // primary (NVMe) path for the single-path baseline.
-  std::vector<f64> bws = ctx_.vtier->path_bandwidths();
-  if (!opts_.multipath) bws.resize(1);
-  placement_->bind(std::move(bws), static_cast<u32>(subgroups_.size()));
+  if (!opts_.delayed_grad_conversion) {
+    for (auto& s : slots_) s.grads_fp32.reserve(max_real_elems_);
+  }
 }
 
 OffloadEngine::~OffloadEngine() {
@@ -86,11 +70,6 @@ std::string OffloadEngine::state_key(u32 id) const {
   return tenant_key(Subgroup::key(ctx_.rank, id));
 }
 
-std::string OffloadEngine::grad_key(u32 id) const {
-  return tenant_key("grad/" + std::to_string(ctx_.rank) + "/" +
-                    std::to_string(id));
-}
-
 void OffloadEngine::reset_slots(u32 n) {
   if (slots_.size() < n) slots_.resize(n);
   for (u32 i = 0; i < n; ++i) {
@@ -102,11 +81,6 @@ void OffloadEngine::reset_slots(u32 n) {
     s.fetch_sim_bytes = 0;
     // grads_fp32 keeps its reserved capacity — the reuse is the point.
   }
-}
-
-std::future<void> OffloadEngine::submit_io(IoRequest req) {
-  req.tenant = ctx_.tenant;
-  return ctx_.io->submit(std::move(req));
 }
 
 void OffloadEngine::poison_host_state(Subgroup& sg) {
@@ -134,57 +108,39 @@ std::future<void> OffloadEngine::store_initial_state(u32 id) {
   return submit_io(std::move(req));
 }
 
-void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
-                                            bool first_micro_step,
-                                            bool final_micro_step) {
-  const Subgroup& sg = *subgroups_.at(subgroup_id);
-  const u64 sim_params = sg.sim_params();
-  const u64 real_elems = sg.real_elems();
-  // The host part joins the batch before anything else can throw, so
-  // wait_gradient_io() and the destructor always wait for its writes.
-  std::shared_future<void> host =
-      deposit_fp16_async(sample_index, subgroup_id, first_micro_step);
-  gradient_io_.add(host);
+std::function<u64(IoChannel&)> OffloadEngine::deposit_link_work(
+    u32 id, bool final_micro_step, std::shared_future<void> host_part) {
+  // Baseline path only: upscale to FP32 on the host and flush the FP32
+  // gradients to third-level storage during the backward pass. MLP-Offload
+  // skips this entirely (design principle 4). The flush is a nested tier
+  // request so it queues on the path's write channel at kGradDeposit
+  // priority; the link stays blocked until it lands, which models the
+  // baseline's backward-phase I/O stall. The flush records its own
+  // bytes/time — the link request reports only the link transfer.
+  if (opts_.delayed_grad_conversion || !final_micro_step) return {};
+  const u64 sim_params = subgroups_[id]->sim_params();
+  const u64 real_elems = subgroups_[id]->real_elems();
+  return [this, id, sim_params, real_elems,
+          host = std::move(host_part)](IoChannel& link) -> u64 {
+    link.transfer(sim_params * kFp16Bytes);
+    host.get();  // the accumulated FP16 gradients are complete
+    ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sim_params));
+    auto fp32 = std::make_shared<BufferPool::Lease>(
+        scratch_->acquire(real_elems * sizeof(f32)));
+    accum_->upscale_into(id, fp32->as<f32>(), ctx_.cpu_pool);
 
-  // (a) D2H transfer of the FP16 gradients produced on the GPU. The link
-  // is serial, like a PCIe link, but holds only the modelled link time.
-  IoRequest req = IoRequest::link_transfer(IoTarget::kD2HLink,
-                                           grad_key(subgroup_id),
-                                           sim_params * kFp16Bytes,
-                                           IoPriority::kGradDeposit);
-  // (b)+(c) Baseline path only: upscale to FP32 on the host and flush the
-  // FP32 gradients to third-level storage during the backward pass.
-  // MLP-Offload skips this entirely (design principle 4). The flush is a
-  // nested tier request so it queues on the path's write channel at
-  // kGradDeposit priority; the link stays blocked until it lands, which
-  // models the baseline's backward-phase I/O stall. The flush records
-  // its own bytes/time — this request reports only the link transfer.
-  if (!opts_.delayed_grad_conversion && final_micro_step) {
-    req.work = [this, subgroup_id, sim_params, real_elems,
-                host = std::move(host)](IoChannel& link) -> u64 {
-      link.transfer(sim_params * kFp16Bytes);
-      host.get();  // the accumulated FP16 gradients are complete
-      ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sim_params));
-      auto fp32 = std::make_shared<BufferPool::Lease>(
-          scratch_->acquire(real_elems * sizeof(f32)));
-      accum_->upscale_into(subgroup_id, fp32->as<f32>(), ctx_.cpu_pool);
-
-      const std::size_t path = placement_->path_for(subgroup_id);
-      const u64 grad_sim = sim_params * kFp32Bytes;
-      IoRequest flush = IoRequest::tier_write(
-          grad_key(subgroup_id), path, grad_sim, IoPriority::kGradDeposit);
-      flush.work = [fp32, grad_sim, key = flush.key](IoChannel& chan) -> u64 {
-        chan.write(key, fp32->bytes(), grad_sim);
-        return grad_sim;
-      };
-      submit_io(std::move(flush)).get();
-      return sim_params * kFp16Bytes;
+    const std::size_t path = placement_->path_for(id);
+    const u64 grad_sim = sim_params * kFp32Bytes;
+    IoRequest flush = IoRequest::tier_write(grad_key(id), path, grad_sim,
+                                            IoPriority::kGradDeposit);
+    flush.work = [fp32, grad_sim, key = flush.key](IoChannel& chan) -> u64 {
+      chan.write(key, fp32->bytes(), grad_sim);
+      return grad_sim;
     };
-  }
-  gradient_io_.add(submit_io(std::move(req)));
+    submit_io(std::move(flush)).get();
+    return sim_params * kFp16Bytes;
+  };
 }
-
-void OffloadEngine::wait_gradient_io() { gradient_io_.wait_all(); }
 
 std::future<void> OffloadEngine::submit_fetch(UpdateSlot& slot) {
   Subgroup& sg = *subgroups_[slot.id];
@@ -250,12 +206,7 @@ std::future<void> OffloadEngine::flush_subgroup_async(
 
 void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
   const u32 n = num_subgroups();
-
-  placement_->rebalance();
-  const std::vector<u32> residents = cache_.resident();
-  const std::vector<u32> order =
-      order_policy_->order(n, iteration, residents);
-  validate_order_permutation(order, n, order_policy_->name());
+  const std::vector<u32> order = plan_update(iteration, cache_.resident());
 
   std::vector<SubgroupTrace> traces(n);
   for (u32 id = 0; id < n; ++id) traces[id].subgroup_id = id;
@@ -387,20 +338,15 @@ void OffloadEngine::update_phase(u64 iteration, IterationReport& report) {
       trace.sim_bytes_read = slot.fetch_sim_bytes;
     }
 
-    // Gradients: delayed in-place FP16->FP32 conversion, or, for the
-    // baseline, the FP32 gradients arrived with the fetch.
-    trace.compute_seconds = update_subgroup(slot.id, slot.grads_fp32,
-                                            opts_.delayed_grad_conversion);
+    // Gradients: delayed in-place FP16->FP32 conversion into the scratch,
+    // or, for the baseline, the FP32 gradients arrived with the fetch.
+    trace.compute_seconds =
+        opts_.delayed_grad_conversion
+            ? update_subgroup(slot.id, fp32_scratch_, true)
+            : update_subgroup(slot.id, slot.grads_fp32, false);
 
     // async_h2d_transfer of the downscaled FP16 parameters (Alg. 1 l.8).
-    // Only the link time is modelled; the GPU-side copy has no observable
-    // state in this library.
-    {
-      IoRequest h2d = IoRequest::link_transfer(
-          IoTarget::kH2DLink, state_key(slot.id), sg.sim_fp16_param_bytes(),
-          IoPriority::kDemandPrefetch);
-      h2d_batch.add(submit_io(std::move(h2d)));
-    }
+    h2d_batch.add(push_fp16_params(slot.id));
 
     // Lazy flush through the host cache (Alg. 1 l.9-10) or eager flush for
     // the thrashing baseline — the order policy selects the discipline.
@@ -493,14 +439,11 @@ bool OffloadEngine::on_persistent_path(u32 id) const {
 
 void OffloadEngine::restore_state(u32 id, std::span<const u8> serialized) {
   subgroups_.at(id)->deserialize(serialized);  // validates header identity
-  // Write through to the assigned path; the restored image becomes the
-  // authoritative copy and any cached state is dropped. Checkpoint-class
-  // traffic: it must not starve demand fetches of a concurrent update.
-  IoRequest req = state_write(id, IoPriority::kCheckpoint);
-  req.on_complete = [this, id](const IoResult&) {
-    poison_host_state(*subgroups_[id]);
-  };
-  submit_io(std::move(req)).get();
+  // Write through to the assigned path, like the initial store; the
+  // restored image becomes the authoritative copy and any cached state is
+  // dropped. Checkpoint-class traffic: it must not starve demand fetches
+  // of a concurrent update.
+  store_initial_state(id).get();
   host_valid_[id] = 0;
   cache_.erase(id);
 }

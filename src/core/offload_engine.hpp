@@ -20,7 +20,8 @@
 // This class owns only the pipeline mechanics. The two strategy decisions —
 // which storage path a subgroup lives on, and in what order subgroups are
 // processed (and hence whether the host cache gets reuse) — are pluggable
-// policies (src/policy/) selected by name in EngineOptions.
+// policies (src/policy/) selected by name in EngineOptions; TieredEngine
+// builds and binds them, and the Engine base runs the gradient deposits.
 #pragma once
 
 #include <memory>
@@ -28,37 +29,19 @@
 
 #include "core/engine.hpp"
 #include "core/host_cache.hpp"
-#include "io/io_batch.hpp"
 #include "io/io_scheduler.hpp"
-#include "policy/placement_policy.hpp"
-#include "policy/update_order_policy.hpp"
 #include "tiers/virtual_tier.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace mlpo {
 
-class OffloadEngine final : public Engine {
+class OffloadEngine final : public TieredEngine {
  public:
   OffloadEngine(const EngineContext& ctx, const EngineOptions& opts,
                 const ShardLayout& layout);
+  /// Waits for the gradient deposits: the baseline's link work uses the
+  /// scratch pool and the placement policy.
   ~OffloadEngine() override;
-
-  /// Deposit one subgroup's FP16 gradients, asynchronously: the host part
-  /// (generate + accumulate) on the CPU pool, the D2H transfer on the
-  /// link. When delayed conversion is off and this is the window's final
-  /// micro-step, the link request then waits for the host part, upscales
-  /// to FP32 and flushes to storage before it releases the link.
-  void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
-                               bool first_micro_step,
-                               bool final_micro_step) override;
-
-  void wait_gradient_io() override;
-
-  /// The placement policy steering this engine's subgroup -> path mapping.
-  PlacementPolicy& placement() { return *placement_; }
-  const PlacementPolicy& placement() const { return *placement_; }
-  /// The update-order policy steering the processing schedule.
-  const UpdateOrderPolicy& order_policy() const { return *order_policy_; }
 
   Subgroup snapshot_subgroup(u32 id) const override;
   u64 state_checksum() const override;
@@ -77,6 +60,12 @@ class OffloadEngine final : public Engine {
 
   /// Write the initial image to its placed path; poison it once landed.
   std::future<void> store_initial_state(u32 id) override;
+  /// Baseline only (delayed conversion off), on the window's final
+  /// micro-step: after the link transfer, wait for the host part, upscale
+  /// to FP32 and flush to storage before the link is released.
+  std::function<u64(IoChannel&)> deposit_link_work(
+      u32 id, bool final_micro_step,
+      std::shared_future<void> host_part) override;
   /// The update phase (Algorithm 1): prefetch, convert, CPU-Adam, H2D push
   /// of FP16 params, tier reassignment, lazy flush — pipelined and
   /// instrumented. `iteration` and the current host residency feed the
@@ -84,14 +73,10 @@ class OffloadEngine final : public Engine {
   void update_phase(u64 iteration, IterationReport& report) override;
 
   std::string state_key(u32 id) const;
-  std::string grad_key(u32 id) const;
-  /// All scheduler traffic funnels through here so every request carries
-  /// the engine's tenant id (shared-scheduler fair-share / fail-stop
-  /// scoping; 0 on an owned scheduler).
-  std::future<void> submit_io(IoRequest req);
   void poison_host_state(Subgroup& sg);
   /// Reset the persistent update slots for a fresh iteration without
-  /// surrendering the grads_fp32 capacity they reserved at construction.
+  /// surrendering the grads_fp32 capacity the baseline reserved at
+  /// construction.
   void reset_slots(u32 n);
   /// A write of subgroup `id`'s image to its placed path (no hooks yet).
   IoRequest state_write(u32 id, IoPriority priority);
@@ -103,20 +88,19 @@ class OffloadEngine final : public Engine {
   std::future<void> flush_subgroup_async(u32 id,
                                          std::vector<SubgroupTrace>* traces);
 
-  std::unique_ptr<PlacementPolicy> placement_;
-  std::unique_ptr<UpdateOrderPolicy> order_policy_;
   bool use_host_cache_ = false;  ///< order policy runs the lazy-flush path
   std::vector<u8> host_valid_;  ///< per-subgroup: host copy authoritative
   HostCache cache_;
-  IoBatch gradient_io_;
 
   /// One slab behind the baseline's FP32 gradient-flush scratch:
   /// steady-state iterations suballocate from here instead of the heap.
   /// Created in the ctor once the subgroup geometry is known; declared
   /// before slots_ so any late lease holders destruct first.
   std::unique_ptr<BufferPool> scratch_;
-  /// Persistent per-position update slots, grads_fp32 reserved once to the
-  /// largest subgroup — run_update reuses them every iteration.
+  /// Persistent per-position update slots — run_update reuses them every
+  /// iteration. The baseline fetches each subgroup's FP32 gradients into
+  /// its slot's grads_fp32, reserved once to the largest subgroup; delayed
+  /// conversion upscales into the base's fp32_scratch_ instead.
   std::vector<UpdateSlot> slots_;
 };
 

@@ -14,8 +14,10 @@
 // drains at the end of the update phase. The tensor an offloader moves is
 // the subgroup's own [params|momentum|variance] block (Subgroup::state()),
 // read and written in place: the subgroup images outlive every pending
-// write, which is TensorNVMe's span contract. Numerically it is bit-identical
-// to the other engines — the equivalence suite holds it to that.
+// write, which is TensorNVMe's span contract — so every path that leaves
+// update_phase, and the destructor, first lets every offloader settle.
+// Numerically it is bit-identical to the other engines — the equivalence
+// suite holds it to that.
 #pragma once
 
 #include <memory>
@@ -23,25 +25,17 @@
 
 #include "core/disk_offloader.hpp"
 #include "core/engine.hpp"
-#include "policy/placement_policy.hpp"
-#include "policy/update_order_policy.hpp"
 #include "tiers/virtual_tier.hpp"
 
 namespace mlpo {
 
-class TensorNvmeEngine final : public Engine {
+class TensorNvmeEngine final : public TieredEngine {
  public:
   TensorNvmeEngine(const EngineContext& ctx, const EngineOptions& opts,
                    const ShardLayout& layout);
-  /// Waits for the outstanding gradient deposits.
+  /// Lets every offloader's outstanding writes settle: they read the
+  /// subgroup images.
   ~TensorNvmeEngine() override;
-
-  void deposit_gradients_async(u64 sample_index, u32 subgroup_id,
-                               bool first_micro_step,
-                               bool final_micro_step) override;
-  void wait_gradient_io() override;
-
-  PlacementPolicy& placement() { return *placement_; }
 
   Distribution distribution() const override;
   /// The working copies live in host buffers (TensorNVMe's model), but the
@@ -55,27 +49,21 @@ class TensorNvmeEngine final : public Engine {
   void update_phase(u64 iteration, IterationReport& report) override;
 
   std::string state_key(u32 id) const;
-  /// Scheduler traffic funnel — stamps the engine's tenant id on every
-  /// request (the offloaders stamp their own; they get the id at
-  /// construction).
-  std::future<void> submit_io(IoRequest req);
   /// Write subgroup `id`'s tensor — its P/M/V block, read in place — to
   /// the offloader the placement policy currently assigns it, recording
   /// that location for later reads.
   std::future<void> write_through(u32 id);
+  /// synchronize() every offloader, even past one that throws, then
+  /// rethrow the first failure: stopping at the first would leave the
+  /// others' writes in flight and their failed futures pending.
+  void synchronize_all();
 
-  std::unique_ptr<PlacementPolicy> placement_;
-  std::unique_ptr<UpdateOrderPolicy> order_policy_;
   /// One per usable VirtualTier path; placement indexes into this.
   std::vector<std::unique_ptr<DiskOffloader>> offloaders_;
   /// Offloader (== usable path) each subgroup's tensor was last written
   /// to. Reads must use this, not the live policy: a rebalance() between
   /// write and read may move the *assignment* while the bytes stay put.
   std::vector<std::size_t> stored_path_;
-  IoBatch gradient_io_;
-  /// Reserved-once upscale scratch: the update loop is single-threaded,
-  /// so a member buffer keeps it allocation-free without a pool.
-  std::vector<f32> fp32_scratch_;
 };
 
 }  // namespace mlpo

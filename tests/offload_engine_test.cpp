@@ -174,6 +174,47 @@ TEST_P(EveryEngineKind, ReportsChargedComputeBudgetWithLocalIds) {
   EXPECT_EQ(ids, local);
 }
 
+TEST_P(EveryEngineKind, ChargesOneD2HPerDepositAndOneH2DPerUpdate) {
+  // Every deposit charges the D2H link once; every updated subgroup of a
+  // tiered engine is pushed over the H2D link once, and cpu_only pushes
+  // nothing. The scheduler counts per priority class: pushes share
+  // kDemandPrefetch with the tiered engines' state reads, one per subgroup
+  // in a first update (the host cache starts empty).
+  EngineRig rig;
+  const ShardLayout layout = EngineRig::layout();
+  const auto engine = make_engine(rig.context(), options(), layout);
+  engine->initialize();
+  const u32 n = engine->num_subgroups();
+  const auto stats = [&](IoPriority p) {
+    return rig.io->stats().priority[static_cast<std::size_t>(p)];
+  };
+
+  const auto deposits_before = stats(IoPriority::kGradDeposit);
+  for (u32 id = 0; id < n; ++id) {
+    engine->deposit_gradients_async(0, id, true, true);
+  }
+  engine->wait_gradient_io();
+  const auto deposits = stats(IoPriority::kGradDeposit);
+  EXPECT_EQ(deposits.submitted - deposits_before.submitted, n);
+  EXPECT_EQ(deposits.completed - deposits_before.completed, n);
+  u64 link_bytes = 0, state_bytes = 0;
+  for (const u64 params : layout.subgroup_sizes) {
+    ASSERT_EQ(params, kSubgroupParams);
+    link_bytes += params * kFp16Bytes;
+    state_bytes += params * kOptimStateBytesPerParam;
+  }
+  EXPECT_EQ(deposits.sim_bytes - deposits_before.sim_bytes, link_bytes);
+
+  const auto demand_before = stats(IoPriority::kDemandPrefetch);
+  engine->run_update(0);
+  const auto demand = stats(IoPriority::kDemandPrefetch);
+  const bool tiered = GetParam() != "cpu_only";
+  EXPECT_EQ(demand.submitted - demand_before.submitted, tiered ? 2 * n : 0u);
+  EXPECT_EQ(demand.sim_bytes - demand_before.sim_bytes,
+            tiered ? state_bytes + link_bytes : 0u);
+  EXPECT_EQ(stats(IoPriority::kGradDeposit).submitted, deposits.submitted);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, EveryEngineKind,
                          ::testing::ValuesIn(engine_kind_names()),
                          [](const auto& info) { return info.param; });

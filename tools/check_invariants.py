@@ -89,6 +89,19 @@ Checked invariants:
      loop elsewhere escapes that tuning (the old spin-through-2.5 ms wait
      burned 0.55 CPU-s per mlp_40b iteration) and would be a second
      blocking point for a discrete-event clock to replace.
+ 13. Within src/core/*engine*.cpp only core/engine.cpp names
+     IoTarget::kD2HLink or IoTarget::kH2DLink, calls
+     make_placement_policy( or make_update_order_policy( outside
+     EngineOptions::validate, calls validate_order_permutation(, or stamps
+     `.tenant = ctx_.tenant`, and it holds each exactly once (comments and
+     string literals stripped). The engines around the data movement are
+     one skeleton: the Engine base owns the gradient deposit and its D2H
+     charge and the tenant-stamped submit, TieredEngine the policies, the
+     update plan and the H2D push. Three engines once carried their own
+     copies of each (three deposits under three labels, two submit
+     funnels, two policy bindings, one of which rebuilt the bandwidth
+     vector VirtualTier::path_bandwidths() returns); a copy re-added to an
+     engine fails here.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -441,6 +454,56 @@ def check_one_real_time_wait() -> None:
             )
 
 
+ENGINE_SKELETON_ONLY = {
+    "IoTarget::kD2HLink (the gradient deposit's link charge)": re.compile(
+        r"\bIoTarget\s*::\s*kD2HLink\b"),
+    "IoTarget::kH2DLink (the FP16 parameter push)": re.compile(
+        r"\bIoTarget\s*::\s*kH2DLink\b"),
+    "a make_placement_policy call": re.compile(
+        r"\bmake_placement_policy\s*\("),
+    "a make_update_order_policy call": re.compile(
+        r"\bmake_update_order_policy\s*\("),
+    "a validate_order_permutation call": re.compile(
+        r"\bvalidate_order_permutation\s*\("),
+    "a `.tenant = ctx_.tenant` stamp": re.compile(
+        r"(?:\.|->)\s*tenant\s*=(?!=)\s*ctx_\s*\.\s*tenant\b"),
+}
+# EngineOptions::validate resolves the policy names only to check them.
+OPTIONS_VALIDATE_DEF_RE = re.compile(
+    r"\bEngineOptions::validate\s*\(\s*\)\s*const\s*\{")
+
+
+def check_one_engine_skeleton() -> None:
+    counts = dict.fromkeys(ENGINE_SKELETON_ONLY, 0)
+    for path in sorted((REPO / "src" / "core").glob("*engine*.cpp")):
+        rel = path.relative_to(REPO).as_posix()
+        code = strip_code_noise(path.read_text())
+        if rel == ENGINE_BASE_TU:
+            for start, end in reversed(brace_bodies(code,
+                                                    OPTIONS_VALIDATE_DEF_RE)):
+                code = code[:start] + code[end + 1:]
+        for what, pattern in ENGINE_SKELETON_ONLY.items():
+            for m in pattern.finditer(code):
+                if rel == ENGINE_BASE_TU:
+                    counts[what] += 1
+                    continue
+                line = code.count("\n", 0, m.start()) + 1
+                fail(
+                    f"{rel}:{line} holds {what} — within src/core/"
+                    f"*engine*.cpp only {ENGINE_BASE_TU} may; use "
+                    f"Engine::deposit_gradients_async / submit_io or "
+                    f"TieredEngine's constructor / plan_update / "
+                    f"push_fp16_params instead"
+                )
+    for what, hits in counts.items():
+        if hits != 1:
+            fail(
+                f"{ENGINE_BASE_TU} holds {what} {hits} times, not once — "
+                f"either the engine skeleton grew a second copy or the "
+                f"check regressed"
+            )
+
+
 def check_tenancy_suites(cases: dict[str, dict]) -> None:
     if "tenancy" not in ctest_labels_defined():
         fail(
@@ -620,6 +683,7 @@ def main() -> int:
     check_no_subgroup_staging_copies()
     check_report_members_have_readers()
     check_one_real_time_wait()
+    check_one_engine_skeleton()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
