@@ -4,7 +4,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "tiers/failstop_tier.hpp"
 #include "tiers/storage_tier.hpp"
 #include "util/rate_limiter.hpp"
 
@@ -167,8 +166,9 @@ std::future<void> IoScheduler::submit(IoRequest req) {
 
   // A fail-stopped tenant's submission fails like an op against a dead
   // device: immediately, without ever occupying queue space another tenant
-  // could use. The common single-job case pays one empty-map lookup.
-  if (tenant_failed(tenant)) {
+  // could use. The latch rides along, so dispatch re-checks it lock-free.
+  pending->latch = &tenant_latch(tenant);
+  if (pending->latch->dead()) {
     settle(*pending,
            std::make_exception_ptr(FailStopError(
                "IoScheduler: tenant " + std::to_string(tenant) +
@@ -265,35 +265,9 @@ std::size_t IoScheduler::cancel_queued(std::optional<IoPriority> priority,
   return flagged;
 }
 
-void IoScheduler::fail_tenant(u32 tenant) {
-  MutexLock lk(tenant_fail_mutex_);
-  tenant_fail_[tenant].failed = true;
-}
-
-void IoScheduler::arm_tenant_fail(u32 tenant, f64 at_vtime) {
-  MutexLock lk(tenant_fail_mutex_);
-  tenant_fail_[tenant].fail_at_vtime = at_vtime;
-}
-
-bool IoScheduler::tenant_failed(u32 tenant) {
-  MutexLock lk(tenant_fail_mutex_);
-  return tenant_failed_locked(tenant);
-}
-
-bool IoScheduler::tenant_failed_locked(u32 tenant) {
-  const auto it = tenant_fail_.find(tenant);
-  if (it == tenant_fail_.end()) return false;
-  TenantFailState& st = it->second;
-  if (!st.failed && st.fail_at_vtime >= 0 &&
-      clock_->now() >= st.fail_at_vtime) {
-    st.failed = true;  // deadline latches on first traffic past it
-  }
-  return st.failed;
-}
-
-void IoScheduler::revive_tenant(u32 tenant) {
-  MutexLock lk(tenant_fail_mutex_);
-  tenant_fail_.erase(tenant);
+FailStopLatch& IoScheduler::tenant_latch(u32 tenant) {
+  MutexLock lk(tenant_latch_mutex_);
+  return tenant_latches_.try_emplace(tenant, *clock_).first->second;
 }
 
 IoScheduler::TenantMap::iterator IoScheduler::pick_tenant(ChannelQueue& q) {
@@ -404,7 +378,7 @@ void IoScheduler::run_one(ChannelQueue& q, std::unique_ptr<Pending> p) {
     finish_one(tenant);
     return;
   }
-  if (tenant_failed(tenant)) {
+  if (p->latch->dead()) {
     // A dead tenant's queued traffic fails at dispatch exactly as it
     // would against a fail-stopped device — without occupying the
     // channel, so the surviving tenants' requests behind it never stall.

@@ -33,11 +33,11 @@
 //     is dropped at dispatch, its future failing with IoCancelled;
 //     cancel_queued() flags queued requests in bulk, optionally scoped to
 //     one priority class and/or one tenant;
-//   * tenant fail-stop: fail_tenant() (or an armed virtual-time deadline)
-//     latches a tenant dead — its queued requests and later submissions
-//     settle with FailStopError, mirroring a fail-stopped device, while
-//     every other tenant's channels keep flowing; revive_tenant() models
-//     replacement hardware;
+//   * tenant fail-stop: each tenant has a FailStopLatch (tenant_latch()),
+//     the same latch a FailStopTier holds for a device. Killed or past its
+//     armed deadline, it fails the tenant's queued requests and later
+//     submissions with FailStopError while every other tenant's channels
+//     keep flowing; revive() models replacement hardware;
 //   * one request per dispatch: each pop runs exactly one request, under
 //     its own TierLock lease (taken only once the request is known to be
 //     live, and held by an async transfer until it completes);
@@ -61,6 +61,7 @@
 
 #include "io/io_channel.hpp"
 #include "io/io_request.hpp"
+#include "tiers/failstop_tier.hpp"
 #include "util/mutex.hpp"
 #include "util/sim_clock.hpp"
 
@@ -151,33 +152,18 @@ class IoScheduler {
   /// command cannot be recalled) and later submissions are unaffected.
   /// Returns the number of requests newly flagged. Callers:
   ///   * the RecoveryDriver abandons a fail-stopped node's queued traffic
-  ///     (all of it on an owned scheduler, its tenant's on a shared one),
-  ///     so it never dispatches serially against a dead device;
+  ///     (each worker's tenant, on an owned or a shared scheduler), so it
+  ///     never dispatches serially against a dead device;
   ///   * the offload engine's failure path abandons its queued demand
   ///     reads (re-fetchable, so always safe) but no writes, which may
   ///     carry not-yet-persisted state.
   std::size_t cancel_queued(std::optional<IoPriority> priority = {},
                             std::optional<u32> tenant = {});
 
-  // --- Tenant fail-stop (resilience scoping on a shared scheduler) ------
-
-  /// Latch `tenant` dead immediately: queued requests and later
-  /// submissions from it settle with FailStopError. Other tenants are
-  /// unaffected. Idempotent.
-  void fail_tenant(u32 tenant);
-
-  /// Arm a virtual-time deadline after which the tenant latches dead on
-  /// its next submission or dispatch (the shared-substrate analogue of
-  /// FailStopTier::arm).
-  void arm_tenant_fail(u32 tenant, f64 at_vtime);
-
-  /// Has the tenant latched dead (directly or via an expired deadline)?
-  /// Non-const: an expired deadline latches here, like FailStopTier's
-  /// next-operation latch.
-  bool tenant_failed(u32 tenant);
-
-  /// Clear the tenant's fail-stop state — replacement hardware came up.
-  void revive_tenant(u32 tenant);
+  /// The fail-stop latch of `tenant`, created alive on first use and kept
+  /// for the scheduler's lifetime (the reference stays valid). Kill or arm
+  /// it to fail-stop the tenant alone; submit() reads it once per request.
+  FailStopLatch& tenant_latch(u32 tenant);
 
   Stats stats() const;
   /// Per-tenant slice of stats(); zeroes for an unseen tenant.
@@ -204,6 +190,8 @@ class IoScheduler {
     IoRequest req;
     std::promise<void> done;
     f64 enqueue_vtime = 0;
+    /// The submitting tenant's latch, looked up once in submit().
+    const FailStopLatch* latch = nullptr;
   };
 
   /// One tenant's backlog on one channel: the per-priority deques plus the
@@ -256,7 +244,6 @@ class IoScheduler {
   void complete(Pending& pending, f64 queue_wait, f64 service, u64 moved,
                 std::exception_ptr error);
   void finish_one(u32 tenant);
-  bool tenant_failed_locked(u32 tenant) MLPO_REQUIRES(tenant_fail_mutex_);
 
   const SimClock* clock_;
   VirtualTier* vtier_;
@@ -276,15 +263,10 @@ class IoScheduler {
   Stats stats_ MLPO_GUARDED_BY(stats_mutex_);
   std::map<u32, Stats> tenant_stats_ MLPO_GUARDED_BY(stats_mutex_);
 
-  /// Fail-stop latches per tenant. A deadline >= 0 fires lazily: the next
-  /// submit or dispatch past it latches `failed`.
-  struct TenantFailState {
-    bool failed = false;
-    f64 fail_at_vtime = -1;
-  };
-  mutable Mutex tenant_fail_mutex_;
-  std::map<u32, TenantFailState> tenant_fail_
-      MLPO_GUARDED_BY(tenant_fail_mutex_);
+  /// Fail-stop latch per tenant; entries are never erased.
+  Mutex tenant_latch_mutex_;
+  std::map<u32, FailStopLatch> tenant_latches_
+      MLPO_GUARDED_BY(tenant_latch_mutex_);
 
   std::atomic<u64> submitted_{0};
   std::atomic<u64> settled_{0};

@@ -121,7 +121,7 @@ void FailureInjector::observe_latches(ClusterSim& cluster, f64 now) {
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     const FailureEvent& event = schedule_[i];
     if (fired_[i] || event.at_vtime < 0 || !armed_[i]) continue;
-    // A still-future deadline cannot have been honoured — a wrapper dead
+    // A still-future deadline cannot have been honoured — a latch dead
     // at this point was killed by some *other* event, and this one must
     // survive onto the replacement hardware.
     if (event.at_vtime > now) continue;
@@ -131,10 +131,9 @@ void FailureInjector::observe_latches(ClusterSim& cluster, f64 now) {
       if (node.failstop_dead(event.path)) fired_[i] = 1;
       continue;
     }
-    // Node events armed every path (or, on a shared substrate, the node's
-    // tenant latch); with the deadline behind us, dead() latches from the
-    // deadline alone, so a dead latch means the deadline was honoured
-    // while this hardware existed.
+    // Node events armed every path's latch; with the deadline behind us,
+    // dead() latches from the deadline alone, so a dead latch means the
+    // deadline was honoured while this hardware existed.
     if (node.any_failstop_dead()) fired_[i] = 1;
   }
 }

@@ -3,7 +3,7 @@
 // A FailureSchedule is a list of fail-stop events — whole nodes or single
 // tier paths — each triggered either at an iteration boundary (the
 // injector kills the target before the iteration runs) or at a virtual
-// SimClock deadline (the injector arms the target's FailStopTier, which
+// SimClock deadline (the injector arms the target's FailStopLatch, which
 // latches dead the first time the clock passes the deadline). Both forms
 // are deterministic in virtual time; neither depends on host scheduling.
 // Events fire exactly once, so a recovery rewinding the iteration counter
@@ -37,7 +37,7 @@ struct FailureEvent {
 
   /// Trigger: exactly one of the two must be set.
   i64 at_iteration = -1;  ///< fire before this iteration starts
-  f64 at_vtime = -1;      ///< arm the FailStopTier for this virtual time
+  f64 at_vtime = -1;      ///< arm the latch for this virtual time
 
   void validate() const;  ///< throws std::invalid_argument on bad triggers
 };
@@ -76,15 +76,15 @@ class FailureInjector {
   explicit FailureInjector(std::vector<FailureEvent> schedule);
 
   /// Record which armed virtual-time events latched on the current
-  /// hardware: their deadline is behind `now` AND their FailStopTier
+  /// hardware: their deadline is behind `now` AND their FailStopLatch
   /// reports dead(). Those events are done and will not be re-injected on
   /// replacements. The RecoveryDriver calls this right before tearing
   /// nodes down, so a deadline that elapses only *during* the rebuild —
-  /// or a wrapper killed by a *different* event ahead of a still-future
+  /// or a latch killed by a *different* event ahead of a still-future
   /// deadline — is not mistaken for an honoured failure.
   void observe_latches(ClusterSim& cluster, f64 now);
 
-  /// Arm every pending virtual-time event on the cluster's FailStopTiers.
+  /// Arm every pending virtual-time event on the cluster's latches.
   /// Call after every cluster (re)build, passing the current virtual time.
   /// A still-future deadline survives the rebuild (a node living through
   /// someone else's elastic restart keeps its schedule). A deadline

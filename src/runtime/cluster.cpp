@@ -47,8 +47,6 @@ NodeConfig ClusterSim::node_config(u32 idx) const {
   return node_cfg;
 }
 
-void ClusterSim::fail_node(u32 idx) { nodes_.at(idx)->fail_stop(); }
-
 void ClusterSim::replace_node(u32 idx) {
   if (idx >= nodes_.size()) {
     throw std::out_of_range("ClusterSim::replace_node: node " +

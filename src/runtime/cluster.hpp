@@ -25,7 +25,7 @@ struct ClusterConfig {
 };
 
 /// Thrown by ClusterSim::run_iteration when one or more nodes fail-stopped
-/// mid-iteration (their FailStopTiers latched dead). Distinct from ordinary
+/// mid-iteration (their fail-stop latches died). Distinct from ordinary
 /// exceptions so the RecoveryDriver can repair node losses while genuine
 /// bugs still abort the run.
 class NodeFailure : public std::runtime_error {
@@ -45,7 +45,7 @@ class ClusterSim {
 
   /// One synchronous data-parallel iteration across all nodes. The report
   /// takes phase walls from the slowest node and sums the counters. Throws
-  /// NodeFailure when a node's fail-stop wrapper killed it mid-iteration;
+  /// NodeFailure when a node's fail-stop latch killed it mid-iteration;
   /// any other node error is rethrown as-is.
   IterationReport run_iteration(u64 iteration);
 
@@ -54,10 +54,6 @@ class ClusterSim {
   u32 node_count() const { return static_cast<u32>(nodes_.size()); }
   NodeSim& node(u32 i) { return *nodes_.at(i); }
   StorageTier* shared_pfs() { return pfs_.get(); }
-
-  /// Fail-stop node `idx` (all of its wrapped paths die). Requires the
-  /// cluster to be built with NodeConfig::wrap_failstop.
-  void fail_node(u32 idx);
 
   /// Tear down node `idx` and build a replacement in its place: fresh
   /// tiers (the node-local NVMe content is lost, as on real hardware),

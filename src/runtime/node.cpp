@@ -1,5 +1,6 @@
 #include "runtime/node.hpp"
 
+#include <algorithm>
 #include <barrier>
 #include <exception>
 #include <stdexcept>
@@ -60,10 +61,11 @@ NodeSim::NodeSim(const SimClock& clock, const NodeConfig& cfg,
   ThreadPool* cpu_pool = nullptr;
   if (cfg_.substrate != nullptr) {
     // Borrowed mode: the substrate's tiers, scheduler and CPU pool are the
-    // node's world. Constructing the node revives its tenant on the shared
-    // scheduler — a rebuilt node is replacement hardware, exactly like a
-    // fresh set of FailStopTiers in owned mode (the injector re-arms any
-    // still-future deadlines afterwards).
+    // node's world, and its tenant's latch stands for every path.
+    // Constructing the node revives that latch — a rebuilt node is
+    // replacement hardware, exactly like a fresh set of FailStopTiers in
+    // owned mode (the injector re-arms any still-future deadlines
+    // afterwards).
     if (!cfg_.substrate->shared()) {
       throw std::invalid_argument(
           "NodeSim: NodeConfig::substrate points at an owned-mode substrate; "
@@ -71,7 +73,9 @@ NodeSim::NodeSim(const SimClock& clock, const NodeConfig& cfg,
     }
     vtier_active_ = &cfg_.substrate->vtier();
     cpu_pool = cfg_.substrate->cpu_pool();
-    cfg_.substrate->io().revive_tenant(cfg_.tenant);
+    FailStopLatch& latch = cfg_.substrate->io().tenant_latch(cfg_.tenant);
+    latch.revive();
+    latches_.assign(vtier_active_->path_count(), &latch);
   } else {
     // With wrap_failstop each path goes behind a FailStopTier so the
     // FailureInjector can take down the node (or one device) mid-run.
@@ -80,7 +84,7 @@ NodeSim::NodeSim(const SimClock& clock, const NodeConfig& cfg,
       if (!cfg_.wrap_failstop) return tier;
       auto failstop = std::make_shared<FailStopTier>(
           tier->name() + "+failstop", std::move(tier), clock);
-      failstops_.push_back(failstop);
+      latches_.push_back(&failstop->latch());
       return failstop;
     };
     // Each node keeps its file-backed objects apart under a node-indexed
@@ -286,74 +290,50 @@ std::vector<IterationReport> NodeSim::run(u32 iterations, u32 warmup) {
 }
 
 void NodeSim::fail_stop() {
-  if (cfg_.substrate != nullptr) {
-    cfg_.substrate->io().fail_tenant(cfg_.tenant);
-    return;
-  }
-  if (failstops_.empty()) {
+  if (latches_.empty()) {
     throw std::logic_error(
         "NodeSim::fail_stop: node built without wrap_failstop; enable it in "
         "NodeConfig (or the resilience JSON section) to inject failures");
   }
-  for (auto& f : failstops_) f->kill();
+  for (FailStopLatch* latch : latches_) latch->kill();
 }
 
 void NodeSim::arm_fail_stop(std::size_t path, f64 kill_at_vtime) {
-  if (cfg_.substrate != nullptr) {
-    if (path != npos) {
-      throw std::logic_error(
-          "NodeSim::arm_fail_stop: path-scoped failures are unsupported on a "
-          "shared substrate (the tiers belong to every tenant); inject a "
-          "whole-node (kind \"node\") failure instead");
-    }
-    cfg_.substrate->io().arm_tenant_fail(cfg_.tenant, kill_at_vtime);
-    return;
+  if (borrowed() && path != npos) {
+    throw std::logic_error(
+        "NodeSim::arm_fail_stop: path-scoped failures are unsupported on a "
+        "shared substrate (the tiers belong to every tenant); inject a "
+        "whole-node (kind \"node\") failure instead");
   }
-  if (failstops_.empty()) {
+  if (latches_.empty()) {
     throw std::logic_error(
         "NodeSim::arm_fail_stop: node built without wrap_failstop; enable "
         "it in NodeConfig (or the resilience JSON section) to inject "
         "failures");
   }
   if (path == npos) {
-    for (auto& f : failstops_) f->arm(kill_at_vtime);
+    for (FailStopLatch* latch : latches_) latch->arm(kill_at_vtime);
     return;
   }
-  if (path >= failstops_.size()) {
+  if (path >= latches_.size()) {
     throw std::out_of_range("NodeSim::arm_fail_stop: path " +
                             std::to_string(path) + " out of range");
   }
-  failstops_[path]->arm(kill_at_vtime);
-}
-
-FailStopTier* NodeSim::failstop(std::size_t idx) {
-  return idx < failstops_.size() ? failstops_[idx].get() : nullptr;
+  latches_[path]->arm(kill_at_vtime);
 }
 
 bool NodeSim::failstop_dead(std::size_t path) {
-  if (cfg_.substrate != nullptr) {
-    // Every "path" of a borrowed node shares the tenant latch's fate.
-    return cfg_.substrate->io().tenant_failed(cfg_.tenant);
-  }
-  return path < failstops_.size() && failstops_[path]->dead();
+  return path < latches_.size() && latches_[path]->dead();
 }
 
 bool NodeSim::any_failstop_dead() {
-  if (cfg_.substrate != nullptr) {
-    return cfg_.substrate->io().tenant_failed(cfg_.tenant);
-  }
-  for (auto& f : failstops_) {
-    if (f->dead()) return true;
-  }
-  return false;
+  return std::any_of(latches_.begin(), latches_.end(),
+                     [](const FailStopLatch* latch) { return latch->dead(); });
 }
 
 u64 NodeSim::cancel_queued_io() {
-  if (cfg_.substrate != nullptr) {
-    return cfg_.substrate->io().cancel_queued({}, cfg_.tenant);
-  }
   u64 cancelled = 0;
-  for (auto& w : workers_) cancelled += w->io().cancel_queued();
+  for (auto& w : workers_) cancelled += w->io().cancel_queued({}, w->tenant());
   return cancelled;
 }
 

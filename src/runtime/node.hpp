@@ -67,8 +67,9 @@ struct NodeConfig {
   /// of our own — run on `substrate`'s shared ones, stamping `tenant` on
   /// every I/O request. The substrate must be in shared mode and must
   /// outlive the node. `storage`, `attach_pfs` and `wrap_failstop` are then
-  /// the substrate's concern: fail-stop injection maps onto the scheduler's
-  /// per-tenant latch instead of FailStopTier wrappers.
+  /// the substrate's concern: the node fail-stops through its tenant's
+  /// latch on the shared scheduler (IoScheduler::tenant_latch) instead of
+  /// FailStopTier wrappers.
   ClusterSubstrate* substrate = nullptr;
   /// Job id on the shared substrate (0 = the single-job/default tenant).
   u32 tenant = 0;
@@ -106,10 +107,15 @@ class NodeSim {
   /// Running on a shared substrate (borrowed tiers/scheduler)?
   bool borrowed() const { return cfg_.substrate != nullptr; }
 
-  /// Fail-stop this node. Owned mode: every wrapped storage path dies at
-  /// once (requires NodeConfig::wrap_failstop). Borrowed mode: latches the
-  /// node's tenant dead on the shared scheduler — its queued and future
-  /// I/O settles with FailStopError while other tenants keep flowing.
+  // --- Fail-stop ----------------------------------------------------------
+  // The node holds one FailStopLatch per virtual-tier path, taken at
+  // construction: each path's FailStopTier wrapper's when owned (none
+  // without NodeConfig::wrap_failstop), or its tenant's scheduler latch for
+  // every path when borrowed — there a node loss fails only this job's
+  // I/O, queued and future, while other tenants keep flowing. The methods
+  // below act on those latches alike in both modes.
+
+  /// Fail-stop this node: every path's latch dies at once.
   void fail_stop();
 
   /// Arm a deterministic SimClock-driven fail-stop of one path (or, with
@@ -119,21 +125,14 @@ class NodeSim {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   void arm_fail_stop(std::size_t path, f64 kill_at_vtime);
 
-  /// The fail-stop wrapper of path `idx`, or nullptr when not wrapped
-  /// (including borrowed mode, which has no wrappers at all — use the
-  /// mode-agnostic queries below).
-  FailStopTier* failstop(std::size_t idx);
-
-  /// Mode-agnostic fail-stop queries (the FailureInjector's interface for
-  /// retiring latched events). Owned mode consults the FailStopTier
-  /// wrappers; borrowed mode consults the scheduler's tenant latch — where
-  /// every "path" shares the tenant's fate.
+  /// Has path `path` (any path) fail-stopped? The FailureInjector's
+  /// interface for retiring latched events; an expired deadline latches.
   bool failstop_dead(std::size_t path);
   bool any_failstop_dead();
 
-  /// Cancel every request still queued on this node's worker schedulers
-  /// (see IoScheduler::cancel_queued) — scoped to this node's tenant
-  /// on a shared substrate, so the sweep never touches a neighbour job's
+  /// Cancel this node's requests still queued on its workers' schedulers
+  /// (see IoScheduler::cancel_queued): each worker cancels its own tenant,
+  /// so on a shared substrate the sweep never touches a neighbour job's
   /// queue. Returns how many were flagged.
   u64 cancel_queued_io();
 
@@ -148,9 +147,9 @@ class NodeSim {
   NodeConfig cfg_;
   std::shared_ptr<StorageTier> nvme_;    ///< owned mode only
   std::shared_ptr<StorageTier> pfs_;     ///< owned mode only
-  /// Parallel to the vtier paths; empty unless cfg_.wrap_failstop (and
-  /// always empty in borrowed mode).
-  std::vector<std::shared_ptr<FailStopTier>> failstops_;
+  /// One per vtier path (see fail_stop); empty for an owned node built
+  /// without wrap_failstop.
+  std::vector<FailStopLatch*> latches_;
   std::unique_ptr<VirtualTier> vtier_;   ///< owned mode only
   /// The tier the workers actually run on: vtier_ or the substrate's.
   VirtualTier* vtier_active_ = nullptr;

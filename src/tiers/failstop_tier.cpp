@@ -7,31 +7,20 @@ namespace mlpo {
 FailStopTier::FailStopTier(std::string name,
                            std::shared_ptr<StorageTier> backend,
                            const SimClock& clock)
-    : name_(std::move(name)), backend_(std::move(backend)), clock_(&clock) {
+    : name_(std::move(name)), backend_(std::move(backend)), latch_(clock) {
   if (backend_ == nullptr) {
     throw std::invalid_argument("FailStopTier: backend is required");
   }
 }
 
-void FailStopTier::revive() {
-  arm_at_.store(-1.0, std::memory_order_release);
-  dead_.store(false, std::memory_order_release);
-}
-
-bool FailStopTier::dead() const {
-  if (dead_.load(std::memory_order_acquire)) return true;
-  const f64 arm_at = arm_at_.load(std::memory_order_acquire);
-  if (arm_at >= 0 && clock_->now() >= arm_at) {
-    dead_.store(true, std::memory_order_release);  // latch
-    return true;
-  }
-  return false;
+std::exception_ptr FailStopTier::dead_error() const {
+  if (!latch_.dead()) return nullptr;
+  return std::make_exception_ptr(
+      FailStopError("FailStopTier: tier '" + name_ + "' has fail-stopped"));
 }
 
 void FailStopTier::check_alive() const {
-  if (dead()) {
-    throw FailStopError("FailStopTier: tier '" + name_ + "' has fail-stopped");
-  }
+  if (auto error = dead_error()) std::rethrow_exception(error);
 }
 
 void FailStopTier::write(const std::string& key, std::span<const u8> data,
@@ -64,6 +53,19 @@ void FailStopTier::erase(const std::string& key) {
 void FailStopTier::peek(const std::string& key, std::span<u8> out) {
   check_alive();
   backend_->peek(key, out);
+}
+
+void FailStopTier::write_async(const std::string& key,
+                               std::span<const u8> data, u64 sim_bytes,
+                               AsyncDone done) {
+  if (auto error = dead_error()) return done(error);
+  backend_->write_async(key, data, sim_bytes, std::move(done));
+}
+
+void FailStopTier::read_async(const std::string& key, std::span<u8> out,
+                              u64 sim_bytes, AsyncDone done) {
+  if (auto error = dead_error()) return done(error);
+  backend_->read_async(key, out, sim_bytes, std::move(done));
 }
 
 }  // namespace mlpo

@@ -83,8 +83,15 @@ void VirtualTier::write_to_async(std::size_t path_idx, const std::string& key,
             WriterMutexLock lock(mutex_);
             locations_[key] = path_idx;
           }
+          // The stale copy's tier may have died meanwhile (a fail-stopped
+          // PFS path): its throw fails this write, as in write_to, and
+          // must not escape onto the backend's completion thread.
           if (previous != npos && previous != path_idx) {
-            paths_[previous].tier->erase(key);
+            try {
+              paths_[previous].tier->erase(key);
+            } catch (...) {
+              error = std::current_exception();
+            }
           }
         }
         done(std::move(error));

@@ -75,7 +75,9 @@ class VirtualTier {
   /// Async variants of write_to/read: the transfer runs on the backend's
   /// completion engine and `done` fires from its thread. Location-map
   /// bookkeeping happens in the completion shim, after the bytes landed, so
-  /// readers never observe a location whose object is still in flight.
+  /// readers never observe a location whose object is still in flight. A
+  /// throw from erasing the stale copy fails the write through `done`, as
+  /// it fails write_to.
   void write_to_async(std::size_t path_idx, const std::string& key,
                       std::span<const u8> data, u64 sim_bytes,
                       StorageTier::AsyncDone done);

@@ -244,7 +244,8 @@ TEST(TenancyHammer, BullyFailStopLeavesSurvivorLatencyAndDataIntact) {
   });
 
   first_half_submitted.get_future().wait();
-  sched.fail_tenant(2);  // mid-storm: some bully traffic is still queued
+  // Mid-storm: some bully traffic is still queued.
+  sched.tenant_latch(2).kill();
   failure_injected.set_value();
 
   bully.join();

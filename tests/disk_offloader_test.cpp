@@ -140,7 +140,7 @@ struct FailingPathRig {
     ctx.grads = &grads;
     engine = make_engine(ctx, opts, make_shard_layout(8 * 4096, 1, 0, 4096));
     engine->initialize();
-    nvme->kill();
+    nvme->latch().kill();
     for (u32 id = 0; id < engine->num_subgroups(); ++id) {
       engine->deposit_gradients_async(0, id, true, true);
     }
@@ -166,7 +166,7 @@ TEST(TensorNvmeEngine, FailedUpdateSettlesEveryWriteBeforeItThrows) {
 TEST(TensorNvmeEngine, FailedUpdateLeavesNoStaleFailureForRestore) {
   FailingPathRig rig;
   EXPECT_THROW(rig.engine->run_update(0), FailStopError);
-  rig.nvme->revive();
+  rig.nvme->latch().revive();
   // Subgroup 0 lives on path 0, whose offloader saw the failed read. A
   // restore there must report only its own write.
   const Subgroup sg = rig.engine->snapshot_subgroup(0);

@@ -766,9 +766,9 @@ TEST(IoSchedulerTenancy, FailTenantSettlesQueuedAndRejectsNewSubmits) {
 
   auto dead = sched.submit(tenant_req(1, IoPriority::kLazyFlush));
   auto live = sched.submit(tenant_req(2, IoPriority::kLazyFlush));
-  sched.fail_tenant(1);
-  EXPECT_TRUE(sched.tenant_failed(1));
-  EXPECT_FALSE(sched.tenant_failed(2));
+  sched.tenant_latch(1).kill();
+  EXPECT_TRUE(sched.tenant_latch(1).dead());
+  EXPECT_FALSE(sched.tenant_latch(2).dead());
   go.set_value();
   f0.get();
 
@@ -782,24 +782,24 @@ TEST(IoSchedulerTenancy, FailTenantSettlesQueuedAndRejectsNewSubmits) {
   EXPECT_NO_THROW(sched.submit(tenant_req(2, IoPriority::kLazyFlush)).get());
 
   // Replacement hardware: revive restores service.
-  sched.revive_tenant(1);
-  EXPECT_FALSE(sched.tenant_failed(1));
+  sched.tenant_latch(1).revive();
+  EXPECT_FALSE(sched.tenant_latch(1).dead());
   EXPECT_NO_THROW(sched.submit(tenant_req(1, IoPriority::kLazyFlush)).get());
 }
 
 TEST(IoSchedulerTenancy, ArmedDeadlineLatchesOnNextOperation) {
   SimClock clock(1.0);
   IoScheduler sched(clock, nullptr, {});
-  EXPECT_FALSE(sched.tenant_failed(1));
+  EXPECT_FALSE(sched.tenant_latch(1).dead());
   // Deadline already reached: the next query/submission latches the
-  // tenant dead, mirroring FailStopTier's next-operation latch.
-  sched.arm_tenant_fail(1, clock.now());
-  EXPECT_TRUE(sched.tenant_failed(1));
+  // tenant dead — the same latch a FailStopTier holds for a device.
+  sched.tenant_latch(1).arm(clock.now());
+  EXPECT_TRUE(sched.tenant_latch(1).dead());
   EXPECT_THROW(sched.submit(tenant_req(1, IoPriority::kLazyFlush)).get(),
                FailStopError);
   // A deadline far in the virtual future does not fire.
-  sched.arm_tenant_fail(2, clock.now() + 1e9);
-  EXPECT_FALSE(sched.tenant_failed(2));
+  sched.tenant_latch(2).arm(clock.now() + 1e9);
+  EXPECT_FALSE(sched.tenant_latch(2).dead());
   EXPECT_NO_THROW(sched.submit(tenant_req(2, IoPriority::kLazyFlush)).get());
 }
 

@@ -178,8 +178,19 @@ TEST(JobManager, TenantScopedFailureLeavesNeighbourIntact) {
   // Same job next to a tenant that fail-stops mid-run and recovers. The
   // victim's loss cancels only its own queued I/O; the survivor's state
   // must match its uncontended reference bit for bit.
-  JobManagerConfig cfg;
-  cfg.jobs.push_back(fast_job("survivor"));
+  const auto run_beside_survivor = [&](const JobSpec& victim) {
+    JobManagerConfig cfg;
+    cfg.jobs.push_back(fast_job("survivor"));
+    cfg.jobs.push_back(victim);
+    JobManager manager(std::move(cfg));
+    auto results = manager.run();
+    EXPECT_EQ(results.size(), 2u);
+    EXPECT_EQ(results.at(0).state_checksum, solo_sum);
+    // The recovered victim still trained to completion.
+    EXPECT_EQ(results.at(1).reports.size(), victim.iterations - victim.warmup);
+    return results.at(1).recovery;
+  };
+
   JobSpec victim = fast_job("victim");
   victim.config.resilience.enabled = true;
   victim.config.resilience.checkpoint_interval = 1;
@@ -187,15 +198,38 @@ TEST(JobManager, TenantScopedFailureLeavesNeighbourIntact) {
   event.kind = FailureEvent::Kind::kNode;
   event.at_iteration = 1;
   victim.config.resilience.failures.push_back(event);
-  cfg.jobs.push_back(victim);
-  JobManager manager(std::move(cfg));
-  const auto results = manager.run();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].state_checksum, solo_sum);
-  EXPECT_EQ(results[1].recovery.failures, 1u);
-  EXPECT_EQ(results[1].recovery.recoveries, 1u);
-  // The recovered victim still trained to completion.
-  EXPECT_EQ(results[1].reports.size(), 2u);
+  const RecoveryStats once = run_beside_survivor(victim);
+  EXPECT_EQ(once.failures, 1u);
+  EXPECT_EQ(once.recoveries, 1u);
+
+  // Two whole-node failures at virtual times listed t1 < t2: the tenant
+  // latch keeps the earlier deadline, as a device's wrapper does, so the
+  // job fails at t1 and again at t2 on its rebuilt node. A long forward
+  // pass (~50 virtual s, no I/O) puts both deadlines mid-iteration, far
+  // from the restore and the end-of-run snapshot, where a fail-stop
+  // aborts the run; with only the baseline snapshot, each recovery
+  // redoes the job from iteration 0.
+  JobSpec twice = fast_job("victim");
+  twice.iterations = 4;
+  twice.config.gpu_cost.forward_secs_per_param =
+      50.0 / static_cast<f64>(twice.config.model.parameters());
+  twice.config.gpu_cost.backward_factor = 1.0;
+  twice.config.resilience.enabled = true;
+  twice.config.resilience.checkpoint_interval = 100;
+  for (const f64 at_vtime : {150.0, 350.0}) {
+    FailureEvent deadline;
+    deadline.kind = FailureEvent::Kind::kNode;
+    deadline.at_vtime = at_vtime;
+    twice.config.resilience.failures.push_back(deadline);
+  }
+  const RecoveryStats borrowed = run_beside_survivor(twice);
+  EXPECT_EQ(borrowed.failures, 2u);
+  EXPECT_EQ(borrowed.recoveries, 2u);
+  Trainer owned(twice.config);
+  owned.initialize();
+  owned.run(twice.iterations, twice.warmup);
+  EXPECT_EQ(owned.recovery_stats()->failures, borrowed.failures);
+  EXPECT_EQ(owned.recovery_stats()->recoveries, borrowed.recoveries);
 }
 
 TEST(JobManagerConfigJson, ParsesFullDocument) {

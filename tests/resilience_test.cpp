@@ -1,5 +1,5 @@
-// Resilience layer: FailStopTier semantics, failure-schedule parsing and
-// injection, scheduler cancellation, and RecoveryDriver repairs.
+// Resilience layer: FailStopTier and FailStopLatch semantics, failure-schedule
+// parsing and injection, scheduler cancellation, and RecoveryDriver repairs.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -25,18 +25,18 @@ TEST(FailStopTier, ForwardsUntilKilledThenThrows) {
   const std::vector<u8> data{1, 2, 3};
   tier->write("k", data, 0);
   EXPECT_TRUE(tier->exists("k"));
-  EXPECT_FALSE(tier->dead());
+  EXPECT_FALSE(tier->latch().dead());
 
-  tier->kill();
-  EXPECT_TRUE(tier->dead());
+  tier->latch().kill();
+  EXPECT_TRUE(tier->latch().dead());
   std::vector<u8> out(3);
   EXPECT_THROW(tier->read("k", out, 0), FailStopError);
   EXPECT_THROW(tier->write("k", data, 0), FailStopError);
   EXPECT_THROW((void)tier->exists("k"), FailStopError);
   EXPECT_THROW(tier->peek("k", out), FailStopError);
 
-  tier->revive();
-  EXPECT_FALSE(tier->dead());
+  tier->latch().revive();
+  EXPECT_FALSE(tier->latch().dead());
   tier->read("k", out, 0);
   EXPECT_EQ(out, data);
 }
@@ -46,10 +46,10 @@ TEST(FailStopTier, ArmedDeadlineLatchesViaSimClock) {
   auto tier = std::make_shared<FailStopTier>(
       "t+failstop", std::make_shared<MemoryTier>("t"), clock);
   const std::vector<u8> data{7};
-  tier->arm(clock.now() + 0.5);
+  tier->latch().arm(clock.now() + 0.5);
   tier->write("k", data, 0);  // still alive before the deadline
   clock.sleep_for(1.0);
-  EXPECT_TRUE(tier->dead());
+  EXPECT_TRUE(tier->latch().dead());
   EXPECT_THROW(tier->write("k", data, 0), FailStopError);
   // The latch holds even though arm() was a point-in-time trigger.
   EXPECT_THROW(tier->write("k", data, 0), FailStopError);
@@ -92,7 +92,7 @@ TEST(FailureInjector, FiresIterationEventsExactlyOnce) {
   FailureInjector injector({node_failure_at(1, 2)});
   EXPECT_EQ(injector.fire_due(cluster, 0), 0u);
   EXPECT_EQ(injector.fire_due(cluster, 2), 1u);
-  EXPECT_TRUE(cluster.node(1).failstop(0)->dead());
+  EXPECT_TRUE(cluster.node(1).failstop_dead(0));
   // Rewinds (recovery) must not replay the event.
   EXPECT_EQ(injector.fire_due(cluster, 2), 0u);
   EXPECT_TRUE(injector.exhausted());
@@ -113,8 +113,8 @@ TEST(FailureInjector, ArmsVtimeEventsOnWrappers) {
   ASSERT_LT(clock.now(), event.at_vtime)
       << "arm() outran the deadline; raise at_vtime";
   clock.sleep_until(event.at_vtime + 1.0);
-  EXPECT_TRUE(cluster.node(0).failstop(0)->dead());
-  EXPECT_FALSE(cluster.node(0).failstop(1)->dead()) << "PFS path unaffected";
+  EXPECT_TRUE(cluster.node(0).failstop_dead(0));
+  EXPECT_FALSE(cluster.node(0).failstop_dead(1)) << "PFS path unaffected";
 }
 
 TEST(FailureInjector, FutureVtimeEventsSurviveRebuildsPastOnesDoNot) {
@@ -137,7 +137,7 @@ TEST(FailureInjector, FutureVtimeEventsSurviveRebuildsPastOnesDoNot) {
   ASSERT_LT(clock.now(), event.at_vtime)
       << "construction outran the deadline; raise at_vtime";
   clock.sleep_until(event.at_vtime + 1.0);
-  EXPECT_TRUE(rebuilt.node(0).failstop(0)->dead());
+  EXPECT_TRUE(rebuilt.node(0).failstop_dead(0));
 
   // The RecoveryDriver's protocol: record the honoured deadline before
   // tearing the latched hardware down. The replacement then does not
@@ -147,25 +147,46 @@ TEST(FailureInjector, FutureVtimeEventsSurviveRebuildsPastOnesDoNot) {
   ClusterSim replacement(clock, make_cluster_config(1));
   injector.arm(replacement, clock.now());
   clock.sleep_for(1.0);
-  EXPECT_FALSE(replacement.node(0).failstop(0)->dead());
+  EXPECT_FALSE(replacement.node(0).failstop_dead(0));
 }
 
 TEST(FailStopTier, ArmKeepsTheEarliestPendingDeadline) {
-  // Overlapping schedules (a path event then a whole-node event, or vice
-  // versa) must not postpone each other: last-write-wins would let the
-  // later deadline clobber the earlier one.
+  // Overlapping schedules (a path event then a whole-node event, or two
+  // node events on one job) must not postpone each other: last-write-wins
+  // would let the later deadline clobber the earlier one. Both owners of a
+  // latch run the check: a device's wrapper and a tenant on a shared
+  // scheduler.
   SimClock clock(100.0);
-  auto a = std::make_shared<FailStopTier>(
-      "a+failstop", std::make_shared<MemoryTier>("a"), clock);
-  a->arm(clock.now() + 50.0);
-  a->arm(clock.now() + 5.0);  // earlier wins
-  auto b = std::make_shared<FailStopTier>(
-      "b+failstop", std::make_shared<MemoryTier>("b"), clock);
-  b->arm(clock.now() + 5.0);
-  b->arm(clock.now() + 50.0);  // later must NOT postpone
+  FailStopTier a("a+failstop", std::make_shared<MemoryTier>("a"), clock);
+  FailStopTier b("b+failstop", std::make_shared<MemoryTier>("b"), clock);
+  IoScheduler sched(clock, nullptr, {});
+  struct Owner {
+    const char* name;
+    FailStopLatch* earlier_second;
+    FailStopLatch* later_second;
+  };
+  const Owner owners[] = {
+      {"wrapper", &a.latch(), &b.latch()},
+      {"scheduler tenant", &sched.tenant_latch(1), &sched.tenant_latch(2)},
+  };
+  for (const Owner& owner : owners) {
+    owner.earlier_second->arm(clock.now() + 50.0);
+    owner.earlier_second->arm(clock.now() + 5.0);  // earlier wins
+    owner.later_second->arm(clock.now() + 5.0);
+    owner.later_second->arm(clock.now() + 50.0);  // later must NOT postpone
+  }
   clock.sleep_for(10.0);
-  EXPECT_TRUE(a->dead());
-  EXPECT_TRUE(b->dead());
+  for (const Owner& owner : owners) {
+    EXPECT_TRUE(owner.earlier_second->dead()) << owner.name;
+    EXPECT_TRUE(owner.later_second->dead()) << owner.name;
+  }
+  // The tenant latch is the one the scheduler reads: tenant 2's traffic
+  // now fails as a dead device's would.
+  IoRequest req;
+  req.target = IoTarget::kD2HLink;
+  req.key = "t2-grad";
+  req.tenant = 2;
+  EXPECT_THROW(sched.submit(std::move(req)).get(), FailStopError);
 }
 
 TEST(FailureInjector, KillByOtherEventDoesNotRetireFutureVtimeEvent) {
@@ -187,15 +208,15 @@ TEST(FailureInjector, KillByOtherEventDoesNotRetireFutureVtimeEvent) {
   ClusterSim cluster(clock, make_cluster_config(1));
   injector.arm(cluster, clock.now());
   injector.fire_due(cluster, 2);  // iteration event kills the node
-  ASSERT_TRUE(cluster.node(0).failstop(0)->dead());
+  ASSERT_TRUE(cluster.node(0).failstop_dead(0));
 
   // RecoveryDriver protocol: observe, replace, re-arm.
   injector.observe_latches(cluster, clock.now());
   cluster.replace_node(0);
   injector.arm(cluster, clock.now());
-  EXPECT_FALSE(cluster.node(0).failstop(0)->dead());
+  EXPECT_FALSE(cluster.node(0).failstop_dead(0));
   clock.sleep_until(schedule[1].at_vtime + 1.0);
-  EXPECT_TRUE(cluster.node(0).failstop(0)->dead())
+  EXPECT_TRUE(cluster.node(0).failstop_dead(0))
       << "the future vtime failure must survive onto the replacement";
 }
 
@@ -221,7 +242,7 @@ TEST(FailureInjector, DeadlineElapsingDuringRebuildInjectsLate) {
   clock.sleep_until(event.at_vtime + 1.0);  // deadline passes hardware-less
   ClusterSim replacement(clock, make_cluster_config(1));
   injector.arm(replacement, clock.now());
-  EXPECT_TRUE(replacement.node(0).failstop(0)->dead())
+  EXPECT_TRUE(replacement.node(0).failstop_dead(0))
       << "overdue failure must inject late, not evaporate";
 }
 
@@ -357,7 +378,7 @@ TEST(ClusterSim, FailStoppedNodeSurfacesAsNodeFailure) {
   SimClock clock(2000.0);
   ClusterSim cluster(clock, make_cluster_config(2));
   cluster.initialize();
-  cluster.fail_node(1);
+  cluster.node(1).fail_stop();
   try {
     cluster.run_iteration(0);
     FAIL() << "expected NodeFailure";
@@ -371,10 +392,10 @@ TEST(ClusterSim, ReplaceNodeBringsFreshAliveTiers) {
   SimClock clock(2000.0);
   ClusterSim cluster(clock, make_cluster_config(2));
   cluster.initialize();
-  cluster.fail_node(1);
-  EXPECT_TRUE(cluster.node(1).failstop(0)->dead());
+  cluster.node(1).fail_stop();
+  EXPECT_TRUE(cluster.node(1).failstop_dead(0));
   cluster.replace_node(1);
-  EXPECT_FALSE(cluster.node(1).failstop(0)->dead());
+  EXPECT_FALSE(cluster.node(1).failstop_dead(0));
   cluster.node(1).initialize();
   const auto report = cluster.run_iteration(0);
   EXPECT_EQ(report.params_updated, tiny_model().parameters());
@@ -385,7 +406,7 @@ TEST(ClusterSim, FailNodeWithoutWrappersIsLoud) {
   ClusterConfig cfg = make_cluster_config(1);
   cfg.node.wrap_failstop = false;
   ClusterSim cluster(clock, cfg);
-  EXPECT_THROW(cluster.fail_node(0), std::logic_error);
+  EXPECT_THROW(cluster.node(0).fail_stop(), std::logic_error);
 }
 
 TEST(RecoveryDriver, SurvivesInjectedNodeLossAndAccountsForIt) {
@@ -485,7 +506,7 @@ TEST(RecoveryDriver, SecondRunRebaselinesInsteadOfRewindingIntoTheFirst) {
   driver.initialize();
   ASSERT_EQ(driver.run(2, 0).size(), 2u);
 
-  driver.cluster().fail_node(0);
+  driver.cluster().node(0).fail_stop();
   const auto reports = driver.run(3, 0);
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(driver.stats().recoveries, 1u);

@@ -1,7 +1,9 @@
 // Real async storage backend suite: AsyncFileBackend on both mechanisms
 // (io_uring when the kernel offers it, pread/pwrite fallback always),
-// UringFileTier sync + async round trips, O_DIRECT handling, and the
-// file-format interchange contract with FileTier.
+// UringFileTier sync + async round trips, O_DIRECT handling, the
+// file-format interchange contract with FileTier, and a FailStopTier over
+// UringFileTier keeping (and, once dead, failing) async completions, also
+// when a completion finds another path of its node dead.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -17,6 +19,10 @@
 #include <vector>
 
 #include "io/uring_backend.hpp"
+#include "resilience/recovery_driver.hpp"
+#include "resilience_test_util.hpp"
+#include "runtime/trainer.hpp"
+#include "tiers/failstop_tier.hpp"
 #include "tiers/file_tier.hpp"
 #include "util/key_escape.hpp"
 
@@ -344,6 +350,110 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.force_fallback ? "fallback" : "uring") +
              (info.param.direct ? "Direct" : "");
     });
+
+// --- Fail-stop wrapper over UringFileTier ---------------------------------
+
+// Resilience wraps every storage path in a FailStopTier; the wrapper must
+// keep the device's async completions (and fail them once dead), or every
+// resilience-enabled uring_file run silently dispatches synchronously.
+TEST(FailStopUringTier, WrapperKeepsAsyncAndFailsItOnceDead) {
+  const fs::path dir = unique_dir("failstop");
+  UringFileTier::Options o;
+  o.queue_depth = 8;
+  o.fallback_workers = 2;
+  o.force_fallback = !AsyncFileBackend::kernel_supports_uring();
+  SimClock clock(1.0);
+  FailStopTier tier("nvme0+failstop",
+                    std::make_shared<UringFileTier>("nvme0", dir, o), clock);
+  EXPECT_TRUE(tier.supports_async());
+
+  const auto payload = pattern_bytes(4096 + 3, 5);
+  std::promise<std::exception_ptr> written;
+  tier.write_async("k", payload, 0,
+                   [&](std::exception_ptr e) { written.set_value(e); });
+  EXPECT_EQ(written.get_future().get(), nullptr);
+
+  tier.latch().kill();
+  std::vector<u8> back(payload.size(), 0);
+  std::promise<std::exception_ptr> read_dead;
+  std::promise<std::exception_ptr> write_dead;
+  tier.read_async("k", back, 0,
+                  [&](std::exception_ptr e) { read_dead.set_value(e); });
+  tier.write_async("k", payload, 0,
+                   [&](std::exception_ptr e) { write_dead.set_value(e); });
+  for (auto* settled : {&read_dead, &write_dead}) {
+    const std::exception_ptr error = settled->get_future().get();
+    ASSERT_NE(error, nullptr);
+    EXPECT_THROW(std::rethrow_exception(error), FailStopError);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(FailStopUringTier, ResilientNodeKeepsAsyncPathsAndTrainsTheSameBits) {
+  const fs::path dir = unique_dir("node");
+  const auto checksum = [&](bool resilient) {
+    TrainerConfig cfg;
+    cfg.model = ModelConfig{"tiny", 4, 4096, 32};
+    cfg.elem_scale = 65536;
+    cfg.host_cache_override = 2;
+    cfg.storage.backend = "uring_file";
+    cfg.storage.root = (dir / (resilient ? "wrapped" : "bare")).string();
+    cfg.resilience.enabled = resilient;
+    Trainer trainer(cfg);
+    EXPECT_TRUE(trainer.cluster().node(0).vtier().path_supports_async(0))
+        << (resilient ? "wrapped" : "bare");
+    trainer.initialize();
+    trainer.run(2, 0);
+    return cluster_state_checksum(trainer.cluster());
+  };
+  EXPECT_EQ(checksum(true), checksum(false));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// A key moving from the (sync, wrapped) PFS path onto the async NVMe path
+// erases its stale PFS copy from the NVMe backend's completion thread. If
+// the PFS latch has died meanwhile, that erase throws FailStopError, which
+// must fail the write request (as the synchronous path does), not escape
+// the completion thread and terminate the process.
+TEST(FailStopUringTier, MovingAKeyOffADeadPathFailsTheRequestNotTheProcess) {
+  const fs::path dir = unique_dir("move");
+  NodeConfig cfg = test::make_cluster_config(1).node;
+  ASSERT_TRUE(cfg.attach_pfs);
+  cfg.storage.backend = "uring_file";
+  cfg.storage.root = dir.string();
+  SimClock clock(1000.0);
+  {
+    NodeSim node(clock, cfg, nullptr);
+    VirtualTier& vtier = node.vtier();
+    ASSERT_TRUE(vtier.path_supports_async(0));
+    ASSERT_FALSE(vtier.path_supports_async(1));
+
+    const auto payload = pattern_bytes(4096 + 7, 11);
+    vtier.write_to(1, "k", payload, 0);
+    node.arm_fail_stop(1, clock.now());  // path 1 only; already overdue
+    ASSERT_TRUE(node.failstop_dead(1));
+    ASSERT_FALSE(node.failstop_dead(0));
+
+    IoRequest req;
+    req.op = IoOp::kWrite;
+    req.key = "k";
+    req.src = payload;
+    req.path = 0;
+    req.tenant = node.worker(0).tenant();
+    std::future<void> moved = node.worker(0).io().submit(std::move(req));
+    EXPECT_THROW(moved.get(), FailStopError);
+
+    // The bytes landed on the live path before the stale erase failed.
+    EXPECT_EQ(vtier.locate("k"), 0u);
+    std::vector<u8> back(payload.size(), 0);
+    vtier.read("k", back, 0);
+    EXPECT_EQ(back, payload);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
 
 }  // namespace
 }  // namespace mlpo

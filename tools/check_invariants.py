@@ -102,6 +102,18 @@ Checked invariants:
      funnels, two policy bindings, one of which rebuilt the bandwidth
      vector VirtualTier::path_bandwidths() returns); a copy re-added to an
      engine fails here.
+ 14. Fail-stop deadline state (`fail_at_vtime`, `TenantFailState`,
+     `arm_at_`) appears only in src/tiers/failstop_tier.{hpp,cpp}, whose
+     FailStopLatch is the one holder of fail-stop state; and in
+     src/runtime/node.cpp, `cfg_.substrate` and `borrowed()` appear only in
+     the NodeSim constructor and in arm_fail_stop's check rejecting a
+     path-scoped arm on a borrowed node (comments and string literals
+     stripped, bodies brace-matched as in #10). Fail-stop was once written
+     twice, a device wrapper keeping the earliest armed deadline and a
+     per-tenant scheduler map overwriting it, so a JobManager job with
+     deadlines t1 < t2 failed only once, at t2; a second deadline holder,
+     or a NodeSim fail-stop method forking on owned vs borrowed again,
+     fails here.
 
 Zero third-party dependencies; regex-level parsing is deliberate — the
 source of truth is the checked-in text, not a build artifact, so the check
@@ -504,6 +516,61 @@ def check_one_engine_skeleton() -> None:
             )
 
 
+FAILSTOP_TUS = {"src/tiers/failstop_tier.hpp", "src/tiers/failstop_tier.cpp"}
+FAILSTOP_STATE_RE = re.compile(r"\b(?:fail_at_vtime|TenantFailState|arm_at_)\b")
+NODE_TU = "src/runtime/node.cpp"
+NODE_MODE_RE = re.compile(r"\bcfg_\s*\.\s*substrate\b|\bborrowed\s*\(\s*\)")
+NODE_CTOR_DEF_RE = re.compile(
+    r"\bNodeSim::NodeSim\s*\([^)]*\)\s*(?::[^{]*)?\{")
+NODE_ARM_DEF_RE = re.compile(r"\bNodeSim::arm_fail_stop\s*\([^)]*\)\s*\{")
+NODE_PATH_CHECK_RE = re.compile(
+    r"\bif\s*\(\s*(?:borrowed\s*\(\s*\)|cfg_\s*\.\s*substrate\s*!=\s*"
+    r"nullptr)\s*&&\s*path\s*!=\s*npos\s*\)")
+
+
+def check_one_failstop_latch() -> None:
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".hpp", ".cpp", ".h") or not path.is_file():
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        if rel in FAILSTOP_TUS:
+            continue
+        code = strip_code_noise(path.read_text())
+        for m in FAILSTOP_STATE_RE.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            fail(
+                f"{rel}:{line} holds fail-stop deadline state "
+                f"({m.group(0)}) — only FailStopLatch in "
+                f"src/tiers/failstop_tier.hpp may; hold a FailStopLatch "
+                f"instead"
+            )
+    node = REPO / NODE_TU
+    if not node.exists():
+        fail(f"{NODE_TU} is missing — the fail-stop check regressed")
+        return
+    code = strip_code_noise(node.read_text())
+    allowed = brace_bodies(code, NODE_CTOR_DEF_RE)
+    for start, end in brace_bodies(code, NODE_ARM_DEF_RE):
+        allowed += [(m.start(), m.end())
+                    for m in NODE_PATH_CHECK_RE.finditer(code, start, end)]
+    if len(allowed) != 2:
+        fail(
+            f"{NODE_TU}: found {len(allowed)} of the 2 places allowed to "
+            f"name the owned/borrowed mode (the NodeSim constructor and "
+            f"arm_fail_stop's path check) — the check regressed"
+        )
+    for m in NODE_MODE_RE.finditer(code):
+        if any(start <= m.start() <= end for start, end in allowed):
+            continue
+        line = code.count("\n", 0, m.start()) + 1
+        fail(
+            f"{NODE_TU}:{line} branches on owned vs borrowed "
+            f"({m.group(0)}) — outside the constructor and "
+            f"arm_fail_stop's path check, act on latches_, which the "
+            f"constructor fills in both modes"
+        )
+
+
 def check_tenancy_suites(cases: dict[str, dict]) -> None:
     if "tenancy" not in ctest_labels_defined():
         fail(
@@ -684,6 +751,7 @@ def main() -> int:
     check_report_members_have_readers()
     check_one_real_time_wait()
     check_one_engine_skeleton()
+    check_one_failstop_latch()
 
     if FAILURES:
         print(f"check_invariants: {len(FAILURES)} failure(s)", file=sys.stderr)
